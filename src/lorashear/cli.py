@@ -18,25 +18,44 @@ from .config import load_config
 from .errors import ConfigError, LoraShearError, NumericError, StageError
 
 
+def _shared_options(suppress: bool) -> argparse.ArgumentParser:
+    """--config, --seed and --out, accepted before and after a stage subcommand.
+
+    The copies after the subcommand default to SUPPRESS, so that one left out
+    there does not overwrite a value given before the subcommand.
+    """
+    shared = argparse.ArgumentParser(
+        add_help=False, argument_default=argparse.SUPPRESS if suppress else None
+    )
+    shared.add_argument("--config", type=Path, help="pipeline config JSON")
+    shared.add_argument("--seed", type=int, help="override the config seed")
+    shared.add_argument(
+        "--out",
+        type=Path,
+        default=argparse.SUPPRESS if suppress else Path("runs/default"),
+        help="output directory",
+    )
+    return shared
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorashear",
         description="Structured pruning pipeline for a LoRA-augmented toy transformer.",
+        parents=[_shared_options(suppress=False)],
     )
-    parser.add_argument("--config", type=Path, default=None, help="pipeline config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", type=Path, default=Path("runs/default"), help="output directory")
     parser.add_argument(
         "--stage", default=None, help="run a single stage by name (alternative to a subcommand)"
     )
+    shared = _shared_options(suppress=True)
     sub = parser.add_subparsers(dest="command")
     for stage in pipeline.STAGES:
-        p = sub.add_parser(stage, help=f"run the {stage} stage")
+        p = sub.add_parser(stage, help=f"run the {stage} stage", parents=[shared])
         if stage == "eval":
             p.add_argument(
                 "--model", action="append", default=None, help="checkpoint to evaluate (repeatable)"
             )
-    sub.add_parser("run-all", help="run every stage in order")
+    sub.add_parser("run-all", help="run every stage in order", parents=[shared])
 
     graph_p = sub.add_parser("graph", help="trace graph tools")
     graph_sub = graph_p.add_subparsers(dest="graph_command", required=True)

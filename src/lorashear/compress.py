@@ -35,9 +35,6 @@ class CompressionPlan:
     removed_units: dict[str, list[int]] = field(default_factory=dict)
     block_dims: list[dict] = field(default_factory=list)
 
-    def kept_for(self, param: str, axis: int, full: int) -> list[int]:
-        return self.kept.get(param, {}).get(axis, list(range(full)))
-
     def is_identity(self) -> bool:
         return not self.kept
 

@@ -61,9 +61,6 @@ class TraceGraph:
     def edges(self) -> list[tuple[str, str]]:
         return [(src, dst) for dst, preds in self.inputs.items() for src in preds]
 
-    def successors(self, node_id: str) -> list[str]:
-        return [dst for dst, preds in self.inputs.items() if node_id in preds]
-
     def add(self, node: TraceNode, preds: list[str]) -> str:
         if node.id in self.nodes:
             raise AnalysisError(f"duplicate node id {node.id}")

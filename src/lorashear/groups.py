@@ -26,6 +26,7 @@ import numpy as np
 from .errors import AnalysisError
 from .graph import ComposedSpan, TraceGraph
 from .model import LoraModel
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -400,13 +401,15 @@ def zero_lora_slices(model: LoraModel, group: StructureGroup) -> None:
             arr[:, list(s.indices)] = 0.0
 
 
-def affected_params(group: StructureGroup) -> list[str]:
-    return sorted({s.param for s in group.slices})
+def frozen_slice_vector(
+    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
+) -> np.ndarray:
+    """Concatenated host-weight slices of the group, in slice order.
 
-
-def frozen_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
-    """Concatenated host-weight slices of the group, in slice order."""
-    params = model.parameters()
+    ``params`` is ``model.parameters()``, for callers that visit many groups.
+    """
+    if params is None:
+        params = model.parameters()
     parts = []
     for s in group.host_slices():
         arr = params[s.param].data
@@ -454,8 +457,10 @@ def write_frozen_slices(model: LoraModel, group: StructureGroup, vector: np.ndar
         raise AnalysisError(f"group {group.id}: vector size {vector.size} does not match slices")
 
 
-def group_is_zero(model: LoraModel, group: StructureGroup) -> bool:
-    return not np.any(frozen_slice_vector(model, group))
+def group_is_zero(
+    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
+) -> bool:
+    return not np.any(frozen_slice_vector(model, group, params))
 
 
 # ---- serialization -------------------------------------------------------------

@@ -247,7 +247,8 @@ class LhspgResult:
 
 
 def count_zero_groups(model: LoraModel, group_set: GroupSet, ids: list[str]) -> int:
-    return sum(1 for gid in ids if group_is_zero(model, group_set.by_id[gid]))
+    params = model.parameters()
+    return sum(1 for gid in ids if group_is_zero(model, group_set.by_id[gid], params))
 
 
 def run_lhspg(

@@ -67,17 +67,9 @@ class LoraLinear:
         return self.lora_a is not None
 
     def apply(self, h: Tensor) -> Tensor:
-        base = T.linear(h, self.weight)
         if not self.has_lora:
-            return base
-        low = T.linear(T.linear(h, self.lora_a), self.lora_b)
-        return T.add(base, T.scale(low, self.gamma))
-
-    def effective_weight(self) -> np.ndarray:
-        """Dense weight the layer currently realizes: host + gamma * B @ A."""
-        if not self.has_lora:
-            return self.weight.data.copy()
-        return self.weight.data + self.gamma * (self.lora_b.data @ self.lora_a.data)
+            return T.linear(h, self.weight)
+        return T.lora_linear(h, self.weight, self.lora_a, self.lora_b, self.gamma)
 
     def merge_lora(self) -> None:
         """Fold the adaptor into the host (x += gamma*B@A; B <- 0). Idempotent."""

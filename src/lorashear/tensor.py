@@ -11,6 +11,7 @@ grad; evaluation without a tape is plain numpy and allocates nothing extra.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,9 +41,14 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for tensor of shape {self.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # bitwise equal to zeros + g (-0.0 becomes +0.0); a fresh C-ordered
+            # buffer keeps later BLAS calls on the gradient summing in one order
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
+        else:
+            self.grad += g
 
     def copy(self) -> "Tensor":
         t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
@@ -252,6 +258,46 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _record("linear", (x, w), out, backward)
 
 
+def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Tensor:
+    """y = x @ w.T + (x @ a.T @ b.T) * gamma: a host weight plus a low-rank adaptor.
+
+    One tape op with the arithmetic, and the order of gradient accumulation
+    into ``x``, of ``add(linear(x, w), scale(linear(linear(x, a), b), gamma))``.
+    """
+    if w.data.ndim != 2 or a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"lora_linear: weights must be 2-D, got {w.shape}, {a.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[1] or a.shape[1] != w.shape[1] or b.shape != (w.shape[0], a.shape[0]):
+        raise ShapeError(
+            f"lora_linear: input {x.shape} incompatible with weight {w.shape}, "
+            f"A {a.shape} and B {b.shape}"
+        )
+    _check_finite("lora_linear", x, w, a, b)
+    gamma = float(gamma)
+    low = x.data @ a.data.T
+    out = Tensor(x.data @ w.data.T + (low @ b.data.T) * gamma, requires_grad=_needs(x, w, a, b))
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        x2 = x.data.reshape(-1, w.shape[1])
+        g_low_out = g * gamma
+        if b.requires_grad:
+            b.accumulate_grad(g_low_out.reshape(-1, b.shape[0]).T @ low.reshape(-1, b.shape[1]))
+        if x.requires_grad or a.requires_grad:
+            g_low = g_low_out @ b.data
+            if x.requires_grad:
+                x.accumulate_grad(g_low @ a.data)
+            if a.requires_grad:
+                a.accumulate_grad(g_low.reshape(-1, a.shape[0]).T @ x2)
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data)
+        if w.requires_grad:
+            w.accumulate_grad(g.reshape(-1, w.shape[0]).T @ x2)
+
+    return _record("lora_linear", (x, w, a, b), out, backward)
+
+
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather from an (entries, dim) table; backward scatter-adds."""
     if table.data.ndim != 2:
@@ -303,18 +349,26 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     return _record("rmsnorm", (x, gain), out, backward)
 
 
+@functools.lru_cache(maxsize=8)
+def _causal_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) mask, True above the diagonal (the positions j > i)."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def softmax(x: Tensor, causal: bool = False) -> Tensor:
     """Softmax over the last axis; ``causal`` masks j > i over the last two axes."""
     _check_finite("softmax", x)
-    z = x.data
     if causal:
         if x.data.ndim < 2 or x.shape[-1] != x.shape[-2]:
             raise ShapeError(f"softmax: causal mask needs square last axes, got {x.shape}")
-        mask = np.triu(np.ones(x.shape[-2:], dtype=bool), k=1)
-        z = np.where(mask, -np.inf, z)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=-1, keepdims=True)
+        probs = np.where(_causal_mask(x.shape[-1]), -np.inf, x.data)
+        probs -= probs.max(axis=-1, keepdims=True)
+    else:
+        probs = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     out = Tensor(probs, requires_grad=x.requires_grad)
 
     def backward():

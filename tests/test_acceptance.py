@@ -135,6 +135,10 @@ def test_criterion_1_gradient_correctness():
         grad = t.grad if t.grad is not None else np.zeros_like(t.data)
         worst = max(worst, max_relative_error(grad, fd[name]))
 
+    # the fused LoRA linear, drawn last so the model check keeps its inputs
+    check(lambda a: T.lora_linear(a["x"], a["w"], a["a"], a["b"], 1.7),
+          {"x": r(2, 3, 4), "w": r(5, 4), "a": r(2, 4), "b": r(5, 2)}, (2, 3, 5))
+
     elapsed = time.perf_counter() - started
     ok(1, "autodiff matches central differences on every op and the full model loss",
        worst < 1e-4 and elapsed < 60.0, f"max rel err {worst:.2e}, {elapsed:.1f}s")

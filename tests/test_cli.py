@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorashear.cli import main
+from lorashear.cli import build_parser, main
 from lorashear.config import PipelineConfig, write_config
 from lorashear import pipeline
 
@@ -44,6 +44,36 @@ def tree_digest(root: Path) -> dict[str, str]:
         for p in sorted(root.iterdir())
         if p.is_file()
     }
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_run_lines() -> list[list[str]]:
+    """Each ``lorashear ...`` line of the README's Run block, comment stripped, split."""
+    block = README.read_text(encoding="utf-8").split("## Run", 1)[1].split("```")[1]
+    return [line.split("#")[0].split() for line in block.splitlines() if line.startswith("lorashear ")]
+
+
+class TestReadmeForms:
+    def test_every_readme_run_line_parses_with_its_values(self):
+        lines = readme_run_lines()
+        assert len(lines) == 6
+        for argv in lines:
+            args = build_parser().parse_args(argv[1:])
+            for flag, value in zip(argv[1:], argv[2:]):
+                if flag.startswith("--"):
+                    got = getattr(args, flag[2:])
+                    assert [str(v) for v in (got if isinstance(got, list) else [got])] == [value], argv
+
+    def test_options_after_the_subcommand_reach_the_stage(self, micro_cfg_file, finished_run, tmp_path):
+        out = tmp_path / "after"
+        assert main(["gen-data", "--config", str(micro_cfg_file), "--seed", "5", "--out", str(out)]) == 0
+        assert (out / "corpus.json").read_bytes() == (finished_run / "corpus.json").read_bytes()
+
+    def test_option_after_the_subcommand_overrides_the_one_before(self):
+        args = build_parser().parse_args(["--seed", "3", "--out", "a", "run-all", "--seed", "4"])
+        assert (args.seed, args.out) == (4, Path("a"))
 
 
 class TestExitCodes:

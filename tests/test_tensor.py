@@ -257,6 +257,86 @@ class TestGradcheckEveryOp:
         assert max_relative_error(t.grad, fd["l"]) < 1e-4
 
 
+def _composed_lora_linear(x, w, a, b, gamma):
+    """Reference: the five-op composition lora_linear replaces."""
+    return T.add(T.linear(x, w), T.scale(T.linear(T.linear(x, a), b), gamma))
+
+
+class TestLoraLinear:
+    # (x, w) trainable flags: pretraining, LoRA-only inside the network, and
+    # LoRA-only on a layer whose input needs no gradient
+    @pytest.mark.parametrize("x_grad,w_grad", [(True, True), (True, False), (False, False)])
+    def test_equals_composed_reference_bitwise(self, x_grad, w_grad):
+        rng = np.random.default_rng(21)
+        arrays = {"x": rand(rng, 2, 5, 6), "w": rand(rng, 7, 6), "a": rand(rng, 3, 6),
+                  "b": rand(rng, 7, 3)}
+        probe = Tensor(rand(rng, 2, 5, 7))
+        other = Tensor(rand(rng, 2, 5, 6))
+        trainable = {"x": x_grad, "w": w_grad, "a": True, "b": True}
+        results = []
+        for op in (_composed_lora_linear, T.lora_linear):
+            t = {k: Tensor(v, requires_grad=trainable[k]) for k, v in arrays.items()}
+            with Tape() as tape:
+                out = op(t["x"], t["w"], t["a"], t["b"], 0.7)
+                # a later consumer of x: its gradient term lands first, so the
+                # order of the op's two terms after it shows in the bits
+                side = _sum_all(T.mul(T.silu(t["x"]), other))
+                loss = T.add(_sum_all(T.mul(out, probe)), side)
+            tape.backward(loss)
+            results.append((out.data, {k: v.grad for k, v in t.items()}))
+        (ref_out, ref_grads), (out, grads) = results
+        assert np.array_equal(out, ref_out)
+        for name, ref in ref_grads.items():
+            assert (grads[name] is None) == (ref is None) == (not trainable[name]), name
+            if ref is not None:
+                assert np.array_equal(grads[name], ref), name
+
+    def test_nan_input_rejected_with_op_name(self):
+        x = Tensor([[np.nan, 1.0]])
+        w, a, b = Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))), Tensor(np.ones((3, 1)))
+        with pytest.raises(NumericError, match="lora_linear"):
+            T.lora_linear(x, w, a, b, 2.0)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(22)
+        _gradcheck(lambda t: T.lora_linear(t["x"], t["w"], t["a"], t["b"], 1.5),
+                   {"x": rand(rng, 2, 3, 4), "w": rand(rng, 5, 4), "a": rand(rng, 2, 4),
+                    "b": rand(rng, 5, 2)})
+
+
+class TestFirstTouchGrad:
+    def test_grad_through_transpose_is_fresh_and_c_ordered(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rand(rng, 3, 4), requires_grad=True)
+        y = Tensor(rand(rng, 4, 3), requires_grad=True)
+        with Tape() as tape:
+            xt = T.transpose(x, (1, 0))
+            s = T.add(xt, y)
+            loss = _sum_all(T.mul(s, Tensor(rand(rng, 4, 3))))
+        tape.backward(loss)
+        assert x.grad.flags.c_contiguous
+        assert np.array_equal(x.grad, xt.grad.T)
+        grads = [x.grad, y.grad, xt.grad, s.grad]
+        for i, g in enumerate(grads):
+            for h in grads[i + 1:]:
+                assert not np.shares_memory(g, h)
+
+    def test_negative_zero_becomes_positive_zero(self):
+        t = Tensor([1.0, 2.0])
+        t.accumulate_grad(np.array([-0.0, 3.0]))
+        assert np.array_equal(t.grad, [0.0, 3.0]) and not np.signbit(t.grad[0])
+
+    def test_shape_mismatch_raises_and_keeps_grad(self):
+        t = Tensor(np.zeros(3))
+        with pytest.raises(ShapeError, match=r"\(1,\).*\(3,\)"):
+            t.accumulate_grad(np.ones(1))
+        assert t.grad is None
+        t.accumulate_grad(np.ones(3))
+        with pytest.raises(ShapeError):
+            t.accumulate_grad(np.ones((2, 3)))
+        assert np.array_equal(t.grad, np.ones(3))
+
+
 class TestProperties:
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_softmax_rows_sum_to_one(self, n, m, seed):
