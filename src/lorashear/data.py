@@ -175,9 +175,10 @@ def corpora_to_json(corpora: dict[str, SourceTaggedCorpus], seq_len: int, extra:
 
 
 def save_corpora(corpora: dict[str, SourceTaggedCorpus], seq_len: int, path, extra: dict) -> None:
+    # json.dumps without indent uses the C encoder; json.dump never does
+    text = json.dumps(corpora_to_json(corpora, seq_len, extra), sort_keys=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(corpora_to_json(corpora, seq_len, extra), f, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_corpora(path) -> tuple[dict[str, SourceTaggedCorpus], dict]:

@@ -9,12 +9,14 @@ data-dependent control flow, so static construction is faithful). Node kinds:
 A ``lora_B`` node realizes ``gamma * (B @ .)`` (the adaptor scaling lives with
 the B factor); an ``add`` node merges host and adaptor outputs or residual
 branches. The ``softmax`` node is the per-head causal mixing step (scaled
-scores, softmax, value contraction); the surrounding ``reshape`` nodes make
+queries, softmax, value contraction); the surrounding ``reshape`` nodes make
 head structure explicit so head grouping is derivable from the graph alone.
 
 ``execute`` replays the graph in topological order through the same engine
 helpers the model's own forward uses, so the result is bit-identical to
-``model.forward`` whenever the graph is faithful.
+``model.forward`` whenever the graph is faithful, and the adaptors require
+grad or have zero B factors. (Without grad, ``lora_linear`` folds each adaptor
+into its host weight, which agrees with the unfolded spans to rounding.)
 """
 
 from __future__ import annotations
@@ -191,7 +193,14 @@ def mark_composed_spans(graph: TraceGraph) -> list[ComposedSpan]:
 
 
 def execute(graph: TraceGraph, model: LoraModel, tokens: np.ndarray) -> Tensor:
-    """Run the graph in topological order; bit-identical to model.forward."""
+    """Run the graph in topological order through the model's own helpers.
+
+    Bit-identical to ``model.forward`` when the graph is faithful and the
+    adaptors require grad or have zero B factors. A grad-free model with
+    nonzero B (after ``set_trainable("none")``) folds each adaptor into its
+    host weight in ``lora_linear``, while this replays the unfolded spans, so
+    the two then agree to rounding only.
+    """
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
     if squeeze:

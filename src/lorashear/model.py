@@ -114,8 +114,13 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def causal_attention_mix(qh: Tensor, kh: Tensor, vh: Tensor, head_dim: int) -> Tensor:
-    """Per-head causal attention: scaled scores, softmax, value mixing."""
-    scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
+    """Per-head causal attention: scaled queries, scores, softmax, value mixing.
+
+    The 1/sqrt(head_dim) scale goes on q (B, H, T, dh), not on the
+    (B, H, T, T) scores, which are larger whenever T > dh.
+    """
+    scaled_q = T.scale(qh, 1.0 / math.sqrt(head_dim))
+    scores = T.matmul(scaled_q, T.transpose(kh, (0, 1, 3, 2)))
     probs = T.softmax(scores, causal=True)
     return T.matmul(probs, vh)
 

@@ -60,8 +60,14 @@ def _require(out: Path, name: str, stage: str, cfg: PipelineConfig) -> Path:
         raise StageError(f"stage {stage}: missing prerequisite artifact {name}")
     stamp = None
     if name.endswith(".json"):
-        with open(path, encoding="utf-8") as f:
-            stamp = json.load(f)
+        try:
+            stamp = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise StageError(
+                f"stage {stage}: prerequisite artifact {name} is not valid JSON: {e}"
+            ) from e
+        if not isinstance(stamp, dict):
+            raise StageError(f"stage {stage}: prerequisite artifact {name} is not a JSON object")
     elif name.endswith(".lshr"):
         stamp = checkpoint_extra(path)
     if stamp is not None and "config_hash" in stamp and stamp["config_hash"] != cfg.config_hash():

@@ -263,6 +263,9 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
 
     One tape op with the arithmetic, and the order of gradient accumulation
     into ``x``, of ``add(linear(x, w), scale(linear(linear(x, a), b), gamma))``.
+    When no operand requires grad it computes ``x @ (w + gamma * (b @ a)).T``
+    instead, the merged weight of ``LoraLinear.merge_lora``: one matmul, and
+    merging leaves the result bitwise unchanged.
     """
     if w.data.ndim != 2 or a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"lora_linear: weights must be 2-D, got {w.shape}, {a.shape}, {b.shape}")
@@ -273,8 +276,13 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
         )
     _check_finite("lora_linear", x, w, a, b)
     gamma = float(gamma)
+    if not _needs(x, w, a, b):
+        # no-grad read: fold the adaptor into the host exactly as
+        # LoraLinear.merge_lora does, then one matmul; never cached, since
+        # callers mutate weights in place between reads
+        return Tensor(x.data @ (w.data + gamma * (b.data @ a.data)).T)
     low = x.data @ a.data.T
-    out = Tensor(x.data @ w.data.T + (low @ b.data.T) * gamma, requires_grad=_needs(x, w, a, b))
+    out = Tensor(x.data @ w.data.T + (low @ b.data.T) * gamma, requires_grad=True)
 
     def backward():
         g = out.grad
@@ -350,24 +358,37 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=8)
-def _causal_mask(n: int) -> np.ndarray:
-    """Read-only (n, n) mask, True above the diagonal (the positions j > i)."""
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.flags.writeable = False
-    return mask
+def _causal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) masks of the kept positions j <= i and the masked j > i."""
+    keep = np.tri(n, dtype=bool)
+    masked = ~keep
+    keep.flags.writeable = False
+    masked.flags.writeable = False
+    return keep, masked
 
 
 def softmax(x: Tensor, causal: bool = False) -> Tensor:
-    """Softmax over the last axis; ``causal`` masks j > i over the last two axes."""
+    """Softmax over the last axis; ``causal`` masks j > i over the last two axes.
+
+    Masked positions are never read: the row maximum, the shift and the exp
+    see only the kept entries, and the masked ones are then set to exactly
+    +0.0. That is bitwise the result of exponentiating -inf there, but exp
+    never takes its slow path for infinities, and no masked value can
+    overflow.
+    """
     _check_finite("softmax", x)
+    probs = np.empty_like(x.data)
     if causal:
         if x.data.ndim < 2 or x.shape[-1] != x.shape[-2]:
             raise ShapeError(f"softmax: causal mask needs square last axes, got {x.shape}")
-        probs = np.where(_causal_mask(x.shape[-1]), -np.inf, x.data)
-        probs -= probs.max(axis=-1, keepdims=True)
+        keep, masked = _causal_masks(x.shape[-1])
+        row_max = np.maximum.reduce(x.data, axis=-1, keepdims=True, where=keep, initial=-np.inf)
+        np.subtract(x.data, row_max, out=probs, where=keep)
+        np.exp(probs, out=probs, where=keep)
+        np.copyto(probs, 0.0, where=masked)
     else:
-        probs = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
+        np.subtract(x.data, x.data.max(axis=-1, keepdims=True), out=probs)
+        np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out = Tensor(probs, requires_grad=x.requires_grad)
 

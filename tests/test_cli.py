@@ -86,6 +86,23 @@ class TestExitCodes:
         rc = main(["--config", str(micro_cfg_file), "--out", str(tmp_path / "empty"), "prune"])
         assert rc == 3
 
+    def test_truncated_corpus_before_pretrain_is_exit_3(self, micro_cfg_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--config", str(micro_cfg_file), "--out", str(out), "gen-data"]) == 0
+        corpus = out / "corpus.json"
+        corpus.write_bytes(corpus.read_bytes()[:-100])
+        assert main(["--config", str(micro_cfg_file), "--out", str(out), "pretrain"]) == 3
+        assert "corpus.json" in capsys.readouterr().err
+        assert not (out / "model_full.lshr").exists()
+
+    @pytest.mark.parametrize("content", [b'{"schema_version": 1, "node_gr', b"[1, 2]", b"\xff\xfe{}"])
+    def test_bad_groups_before_prune_is_exit_3(self, micro_cfg_file, finished_run, tmp_path, capsys, content):
+        for name in ("config.json", "corpus.json", "model_full.lshr"):
+            (tmp_path / name).write_bytes((finished_run / name).read_bytes())
+        (tmp_path / "groups.json").write_bytes(content)
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "prune"]) == 3
+        assert "groups.json" in capsys.readouterr().err
+
     def test_stale_artifact_from_other_config_is_exit_3(self, micro_cfg_file, finished_run, tmp_path):
         other = dict(MICRO)
         other["seed"] = 6

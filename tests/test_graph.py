@@ -114,6 +114,21 @@ class TestFaithfulness:
             toy_model.forward(tokens).data, execute(graph, toy_model, tokens).data
         )
 
+    def test_frozen_trained_model_agrees_to_rounding(self, toy_model, toy_corpus):
+        # a grad-free forward folds each nonzero adaptor into its host weight,
+        # while execute replays the unfolded spans
+        from lorashear.lhspg import warmup
+
+        rng = np.random.default_rng(2)
+        warmup(toy_model, lambda: toy_corpus.sample_batch(rng, 4), steps=5, learning_rate=0.3)
+        toy_model.set_trainable("none")
+        assert any(np.any(m.lora_b.data) for m in toy_model.lora_linears().values())
+        graph = build_trace_graph(toy_model)
+        tokens = rng.integers(0, 64, size=(2, 10))
+        expected = execute(graph, toy_model, tokens).data
+        got = toy_model.forward(tokens).data
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestDump:
     def test_json_schema_shape(self, toy_model):

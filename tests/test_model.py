@@ -122,6 +122,18 @@ class TestLoraAlgebra:
             if name.endswith(".lora_B"):
                 assert not np.any(t.data)
 
+    def test_merge_leaves_nograd_forward_bitwise_unchanged(self, toy_model, toy_corpus):
+        from lorashear.lhspg import warmup
+
+        rng = np.random.default_rng(8)
+        warmup(toy_model, lambda: toy_corpus.sample_batch(rng, 4), steps=4, learning_rate=0.3)
+        toy_model.set_trainable("none")
+        assert any(np.any(t.data) for n, t in toy_model.parameters().items() if n.endswith(".lora_B"))
+        tokens = rng.integers(0, 64, size=(3, 16))
+        merged = toy_model.clone()
+        merged.merge_all_lora()
+        assert np.array_equal(toy_model.forward(tokens).data, merged.forward(tokens).data)
+
     def test_clone_is_independent(self, toy_model):
         clone = toy_model.clone()
         clone.parameters()["head.weight"].data[:] = 0.0

@@ -304,6 +304,95 @@ class TestLoraLinear:
                     "b": rand(rng, 5, 2)})
 
 
+class TestLoraLinearNoGrad:
+    """Nothing requires grad: one matmul on the merged weight of merge_lora."""
+
+    @staticmethod
+    def _operands(seed):
+        rng = np.random.default_rng(seed)
+        return rand(rng, 2, 5, 6), rand(rng, 7, 6), rand(rng, 3, 6), rand(rng, 7, 3)
+
+    def test_equals_linear_on_merged_weight_bitwise(self):
+        x, w, a, b = self._operands(31)
+        out = T.lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(b), 0.7)
+        assert not out.requires_grad
+        assert np.array_equal(out.data, T.linear(Tensor(x), Tensor(w + 0.7 * (b @ a))).data)
+
+    def test_zero_b_equals_host_linear_bitwise(self):
+        x, w, a, b = self._operands(32)
+        out = T.lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(np.zeros_like(b)), 0.7)
+        assert np.array_equal(out.data, T.linear(Tensor(x), Tensor(w)).data)
+
+    def test_within_1e12_of_grad_path(self):
+        x, w, a, b = self._operands(33)
+        merged = T.lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(b), 0.7).data
+        unmerged = T.lora_linear(Tensor(x), Tensor(w), Tensor(a, requires_grad=True),
+                                 Tensor(b, requires_grad=True), 0.7).data
+        assert not np.array_equal(merged, unmerged)  # the two paths really differ
+        assert np.max(np.abs(merged - unmerged)) <= 1e-12 * np.max(np.abs(unmerged))
+
+    def test_records_nothing_on_an_active_tape(self):
+        x, w, a, b = self._operands(34)
+        with Tape() as tape:
+            T.lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(b), 0.7)
+        assert tape.ops == []
+
+    @pytest.mark.parametrize("bad", range(4))
+    def test_nan_operand_rejected_with_op_name(self, bad):
+        operands = [Tensor(v) for v in self._operands(35)]
+        operands[bad].data.reshape(-1)[0] = np.nan
+        with pytest.raises(NumericError, match="lora_linear"):
+            T.lora_linear(*operands, 0.7)
+
+
+def _causal_softmax_reference(x):
+    """The -inf formulation: exp(-inf) is exactly +0.0 above the diagonal."""
+    n = x.shape[-1]
+    probs = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), -np.inf, x)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+class TestCausalSoftmax:
+    @staticmethod
+    def _check(x):
+        ref = _causal_softmax_reference(x)
+        above = np.triu(np.ones(x.shape[-2:], dtype=bool), k=1)
+        with np.errstate(all="raise"):
+            out = T.softmax(Tensor(x), causal=True).data
+        assert np.array_equal(out, ref)
+        masked = out[..., above]
+        assert np.array_equal(masked, np.zeros_like(masked)) and not np.signbit(masked).any()
+
+    @given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_equals_neg_inf_reference_bitwise(self, lead, n, seed):
+        rng = np.random.default_rng(seed)
+        self._check(rng.normal(0.0, 3.0, size=(*lead, n, n)))
+
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_extreme_masked_entries_are_never_read(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, n, n))
+        above = np.triu(np.ones((n, n), dtype=bool), k=1)
+        x[:, above] = rng.choice([-1e308, 1e308], size=(2, int(above.sum())))
+        self._check(x)
+
+    def test_one_by_one(self):
+        self._check(np.array([[-4.5]]))
+        assert T.softmax(Tensor([[[7.0]]]), causal=True).data.tolist() == [[[1.0]]]
+
+    def test_masked_positions_get_zero_gradient(self):
+        rng = np.random.default_rng(36)
+        x = Tensor(rand(rng, 2, 4, 4), requires_grad=True)
+        x.data[:, 0, 3] = 1e308
+        with Tape() as tape:
+            loss = _sum_all(T.mul(T.softmax(x, causal=True), Tensor(rand(rng, 2, 4, 4))))
+        tape.backward(loss)
+        assert not np.any(x.grad[:, np.triu(np.ones((4, 4), dtype=bool), k=1)])
+
+
 class TestFirstTouchGrad:
     def test_grad_through_transpose_is_fresh_and_c_ordered(self):
         rng = np.random.default_rng(23)
