@@ -21,12 +21,14 @@ byte-identical because tensor order and meta encoding are canonical.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import canonical_json, write_atomic
 from .errors import FormatError
 from .model import Block, LoraLinear, LoraModel, ModelConfig
 from .tensor import Tensor
@@ -34,10 +36,6 @@ from .tensor import Tensor
 MAGIC = b"LSHR"
 VERSION = 1
 _DTYPE_F64 = 0
-
-
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def model_meta(model: LoraModel, extra: dict | None = None) -> dict:
@@ -65,7 +63,7 @@ def model_meta(model: LoraModel, extra: dict | None = None) -> dict:
 def save_checkpoint(model: LoraModel, path: str | Path, extra: dict | None = None) -> None:
     params = model.parameters()
     names = sorted(params)
-    meta = _canonical_json(model_meta(model, extra))
+    meta = canonical_json(model_meta(model, extra))
 
     header = bytearray()
     header += MAGIC
@@ -92,23 +90,18 @@ def save_checkpoint(model: LoraModel, path: str | Path, extra: dict | None = Non
         table += struct.pack("<Q", offset)
         offset += int(np.prod(shape)) * 8 if shape else 8
 
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(table)
-        for name, _, _ in entries:
-            f.write(params[name].data.astype("<f8").tobytes())
+    payloads = [params[name].data.astype("<f8").tobytes() for name in names]
+    write_atomic(path, b"".join([header, table, *payloads]))
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+    def __init__(self, f):
+        self.f = f
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        out = self.f.read(n)
+        if len(out) < n:
             raise FormatError("checkpoint truncated")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
         return out
 
     def u8(self) -> int:
@@ -124,10 +117,8 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
 
-def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Raw read: (meta, tensors). Validates magic, version, and bounds."""
-    blob = Path(path).read_bytes()
-    r = _Reader(blob)
+def _read_meta(r: _Reader, path) -> dict:
+    """Magic, version and the meta block: everything before the tensor table."""
     if r.take(4) != MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint")
     version = r.u32()
@@ -138,6 +129,16 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         meta = json.loads(r.take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: corrupt meta block: {e}") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: meta block is not a JSON object")
+    return meta
+
+
+def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Raw read: (meta, tensors). Validates magic, version, and bounds."""
+    blob = Path(path).read_bytes()
+    r = _Reader(io.BytesIO(blob))
+    meta = _read_meta(r, path)
     n_tensors = r.u32()
     tensors: dict[str, np.ndarray] = {}
     entries = []
@@ -222,5 +223,6 @@ def load_checkpoint(path: str | Path) -> LoraModel:
 
 
 def checkpoint_extra(path: str | Path) -> dict:
-    meta, _ = read_checkpoint(path)
-    return meta.get("extra", {})
+    """The ``extra`` meta of a checkpoint, read from its header alone."""
+    with open(path, "rb") as f:
+        return _read_meta(_Reader(f), path).get("extra", {})

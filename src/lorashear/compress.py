@@ -12,7 +12,6 @@ stays fine-tunable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,10 +154,3 @@ def apply_compression(model: LoraModel, plan: CompressionPlan) -> LoraModel:
         block.mlp_dim = dims["mlp_dim"]
     return compact
 
-
-def save_plan(plan: CompressionPlan, path, extra: dict) -> None:
-    payload = plan.to_json()
-    payload.update(extra)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")

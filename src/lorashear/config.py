@@ -7,12 +7,13 @@ deterministically to every stage.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .artifacts import canonical_json, write_json
 from .errors import ConfigError
-from .util import json_hash
 
 
 @dataclass
@@ -93,7 +94,7 @@ class PipelineConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        return json_hash(self.to_dict())
+        return hashlib.sha256(canonical_json(self.to_dict())).hexdigest()
 
 
 _SECTIONS = {
@@ -182,6 +183,4 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
 
 def write_config(cfg: PipelineConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(cfg.to_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, cfg.to_dict())

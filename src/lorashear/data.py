@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import ConfigError, FormatError
 
 PRETRAIN_KINDS = ("markov", "brackets", "copy", "runs")
@@ -175,17 +176,19 @@ def corpora_to_json(corpora: dict[str, SourceTaggedCorpus], seq_len: int, extra:
 
 
 def save_corpora(corpora: dict[str, SourceTaggedCorpus], seq_len: int, path, extra: dict) -> None:
-    # json.dumps without indent uses the C encoder; json.dump never does
-    text = json.dumps(corpora_to_json(corpora, seq_len, extra), sort_keys=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+    # unindented: the integer matrices are most of the bytes
+    write_json(path, corpora_to_json(corpora, seq_len, extra), indent=None)
 
 
 def load_corpora(path) -> tuple[dict[str, SourceTaggedCorpus], dict]:
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
+    return corpora_from_json(payload), payload
+
+
+def corpora_from_json(payload: dict) -> dict[str, SourceTaggedCorpus]:
     if payload.get("schema_version") != 1:
-        raise FormatError(f"{path}: unsupported corpus schema")
+        raise FormatError("unsupported corpus schema")
     corpora = {}
     for name, sources in payload["corpora"].items():
         pools = {
@@ -197,4 +200,4 @@ def load_corpora(path) -> tuple[dict[str, SourceTaggedCorpus], dict]:
             for src, d in sources.items()
         }
         corpora[name] = SourceTaggedCorpus(name=name, sources=pools)
-    return corpora, payload
+    return corpora

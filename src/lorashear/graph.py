@@ -21,7 +21,6 @@ into its host weight, which agrees with the unfolded spans to rounding.)
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,8 +264,3 @@ def graph_to_json(graph: TraceGraph, spans: list[ComposedSpan]) -> dict:
         "module_tree": {k: sorted(v) for k, v in sorted(graph.module_tree.items())},
     }
 
-
-def dump_graph(graph: TraceGraph, spans: list[ComposedSpan], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(graph_to_json(graph, spans), f, sort_keys=True, indent=2)
-        f.write("\n")

@@ -18,11 +18,11 @@ a set of (tensor, axis, indices) slices that must be removed together.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import AnalysisError
 from .graph import ComposedSpan, TraceGraph
 from .model import LoraModel
@@ -509,10 +509,7 @@ def group_set_to_json(group_set: GroupSet) -> dict:
 
 
 def dump_groups(node_groups: NodeGroups, group_set: GroupSet, path) -> None:
-    payload = {
-        "node_groups": node_groups_to_json(node_groups),
-        "group_set": group_set_to_json(group_set),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(
+        path,
+        {"node_groups": node_groups_to_json(node_groups), "group_set": group_set_to_json(group_set)},
+    )

@@ -14,13 +14,14 @@ profile is merged by node-group id and is deterministic either way.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_atomic, write_json
 from .errors import ConfigError, CorruptionError
 from .evaluate import perplexity
 from .groups import GroupSet, NodeGroups, StructureGroup, zero_structure
@@ -58,13 +59,6 @@ class KnowledgeProfile:
                 for e in self.entries
             ],
         }
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["node_group", "deviation", "rank", "unprunable"])
-            for e in self.entries:
-                w.writerow([e.node_group, repr(e.deviation), e.rank, e.unprunable])
 
 
 def _probe_selection(
@@ -164,9 +158,11 @@ def analyze(
 
 
 def save_profile(profile: KnowledgeProfile, json_path, csv_path, extra: dict) -> None:
-    payload = profile.to_json()
-    payload.update(extra)
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
-    profile.write_csv(csv_path)
+    """Write the profile as JSON and as a CSV table (``csv`` dialect, CRLF line ends)."""
+    write_json(json_path, {**profile.to_json(), **extra})
+    table = io.StringIO()
+    w = csv.writer(table)
+    w.writerow(["node_group", "deviation", "rank", "unprunable"])
+    for e in profile.entries:
+        w.writerow([e.node_group, repr(e.deviation), e.rank, e.unprunable])
+    write_atomic(csv_path, table.getvalue())

@@ -23,14 +23,14 @@ the target exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .artifacts import event_log
+from .errors import ConfigError
 from .groups import (
     GroupSet,
     StructureGroup,
@@ -40,10 +40,9 @@ from .groups import (
     write_frozen_slices,
     zero_lora_slices,
 )
-from .model import LoraModel, next_token_loss
-from .optim import lr_at, make_optimizer
+from .model import LoraModel
+from .optim import lora_optimizer, lr_at, train_step
 from .saliency import SaliencyFn, get_saliency
-from .tensor import Tape
 
 
 @dataclass
@@ -83,23 +82,6 @@ class LhspgState:
     saliency_scores: dict[str, float] = field(default_factory=dict)
 
 
-class RunLog:
-    def __init__(self, path=None, inspect: Optional[Callable] = None):
-        self.path = path
-        self.inspect = inspect
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-
-    def emit(self, event: dict, model: LoraModel) -> None:
-        if self._fh:
-            self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-        if self.inspect:
-            self.inspect(event, model)
-
-    def close(self) -> None:
-        if self._fh:
-            self._fh.close()
-
-
 def period_quotas(target: int, periods: int) -> list[int]:
     """ceil(target/periods) per period, the final period absorbing the remainder."""
     base = math.ceil(target / periods) if periods else 0
@@ -121,19 +103,10 @@ def warmup(
     on_step: Optional[Callable[[int, float], None]] = None,
 ) -> list[float]:
     """LoRA-only warm-up steps; frozen weights are untouched by construction."""
-    model.set_trainable("lora")
-    params = list(model.lora_parameters().values())
-    opt = make_optimizer(optimizer, params, learning_rate)
+    opt = lora_optimizer(model, optimizer, learning_rate)
     losses = []
     for step in range(steps):
-        opt.zero_grad()
-        with Tape() as tape:
-            loss = next_token_loss(model, sample_batch())
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericError(f"warmup: divergent loss at step {step}")
-        tape.backward(loss)
-        opt.step()
+        value = train_step(model, sample_batch(), opt, where=f"warmup step {step}")
         losses.append(value)
         if on_step is not None:
             on_step(step, value)
@@ -193,14 +166,7 @@ def lhspg_step(
     Important groups' frozen slices are untouched; redundant LoRA slices end
     the step at zero.
     """
-    opt.zero_grad()
-    with Tape() as tape:
-        loss = next_token_loss(model, batch)
-    value = loss.item()
-    if not math.isfinite(value):
-        raise NumericError("lhspg: divergent loss")
-    tape.backward(loss)
-    opt.step(lr)
+    value = train_step(model, batch, opt, lr, where="lhspg")
 
     current = set(state.current)
     # earlier periods' groups: the gradient step transiently revived their LoRA
@@ -274,19 +240,23 @@ def run_lhspg(
         )
     saliency_fn = get_saliency(config.saliency)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1A5B]))
-    log = RunLog(log_path, inspect)
     losses: list[float] = []
-    try:
+    with event_log(log_path) as log:
+
+        def emit(event: dict) -> None:
+            log(event)
+            if inspect is not None:
+                inspect(event, model)
+
         warmup_losses = warmup(
             model,
             lambda: sample_batch(rng, config.batch_size),
             config.warmup_steps,
             config.learning_rate,
             optimizer=config.optimizer,
-            on_step=lambda step, value: log.emit(
+            on_step=lambda step, value: emit(
                 {"event": "step", "step": step, "period": -1, "loss": value,
-                 "zero_groups": None, "projected": []},
-                model,
+                 "zero_groups": None, "projected": []}
             ),
         )
         losses.extend(warmup_losses)
@@ -296,9 +266,7 @@ def run_lhspg(
         state = LhspgState(important=list(prunable))
         quotas = period_quotas(config.target_zero_groups, config.periods)
         total_steps = config.periods * config.steps_per_period
-        model.set_trainable("lora")
-        params = list(model.lora_parameters().values())
-        opt = make_optimizer(config.optimizer, params, config.learning_rate)
+        opt = lora_optimizer(model, config.optimizer, config.learning_rate)
         step = 0
         for period, quota in enumerate(quotas):
             state.period = period
@@ -310,7 +278,7 @@ def run_lhspg(
             for gid in selected:
                 norm = float(np.linalg.norm(frozen_slice_vector(model, group_set.by_id[gid])))
                 state.penalty[gid] = norm / config.steps_per_period
-            log.emit(
+            emit(
                 {
                     "event": "period_start",
                     "period": period,
@@ -318,7 +286,6 @@ def run_lhspg(
                     "selected": selected,
                     "penalty": {gid: state.penalty[gid] for gid in selected},
                 },
-                model,
             )
             for t in range(config.steps_per_period):
                 lr = lr_at(config.learning_rate, config.lr_schedule, step, total_steps)
@@ -334,7 +301,7 @@ def run_lhspg(
                     final_step_of_period=(t == config.steps_per_period - 1),
                 )
                 losses.append(value)
-                log.emit(
+                emit(
                     {
                         "event": "step",
                         "step": step,
@@ -343,24 +310,20 @@ def run_lhspg(
                         "zero_groups": count_zero_groups(model, group_set, prunable),
                         "projected": sorted(projected),
                     },
-                    model,
                 )
                 step += 1
             end_of_period_merge(model)
-            log.emit({"event": "merge", "period": period}, model)
+            emit({"event": "merge", "period": period})
 
         zero = count_zero_groups(model, group_set, prunable)
         for gid in prunable:
             group_set.set_status(gid, "redundant" if gid in set(state.redundant) else "important")
-        log.emit(
+        emit(
             {
                 "event": "done",
                 "target": config.target_zero_groups,
                 "zero_groups": zero,
                 "redundant": sorted(state.redundant),
             },
-            model,
         )
         return LhspgResult(state=state, zero_groups=zero, losses=losses)
-    finally:
-        log.close()

@@ -1,4 +1,5 @@
-"""Plain SGD and AdamW over lists of tensors, plus an optional cosine schedule."""
+"""Plain SGD and AdamW over lists of tensors, an optional cosine schedule, and
+the one training step every fine-tuning phase takes."""
 
 from __future__ import annotations
 
@@ -6,8 +7,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
-from .tensor import Tensor
+from .errors import ConfigError, NumericError
+from .model import LoraModel, next_token_loss
+from .tensor import Tape, Tensor
 
 
 def lr_at(base_lr: float, schedule: str, step: int, total_steps: int) -> float:
@@ -83,3 +85,27 @@ def make_optimizer(name: str, params: list[Tensor], lr: float):
     if name == "adamw":
         return AdamW(params, lr)
     raise ConfigError(f"unknown optimizer {name!r}")
+
+
+def lora_optimizer(model: LoraModel, name: str, lr: float):
+    """Make only the LoRA factors trainable and return an optimizer over them."""
+    model.set_trainable("lora")
+    return make_optimizer(name, list(model.lora_parameters().values()), lr)
+
+
+def train_step(
+    model: LoraModel, batch: np.ndarray, opt, lr: float | None = None, *, where: str
+) -> float:
+    """One optimizer step on the next-token loss of ``batch``; returns the loss.
+
+    A non-finite loss raises NumericError naming ``where`` before any update.
+    """
+    opt.zero_grad()
+    with Tape() as tape:
+        loss = next_token_loss(model, batch)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericError(f"{where}: divergent loss")
+    tape.backward(loss)
+    opt.step(lr)
+    return value

@@ -16,18 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, compress, knowledge, recovery
+from .artifacts import event_log, write_atomic, write_json
 from .checkpoint import checkpoint_extra, load_checkpoint, save_checkpoint
 from .config import PipelineConfig, write_config
-from .data import generate_corpus, load_corpora, save_corpora
-from .errors import NumericError, StageError
+from .data import SourceTaggedCorpus, corpora_from_json, generate_corpus, save_corpora
+from .errors import FormatError, NumericError, StageError
 from .evaluate import mean_cross_entropy, per_source_perplexity
-from .graph import build_trace_graph, dump_graph, mark_composed_spans
+from .graph import build_trace_graph, graph_to_json, mark_composed_spans
 from .groups import GroupSet, dump_groups, discover_node_groups, partition_variables
 from .lhspg import LhspgConfig, run_lhspg
-from .model import ModelConfig, build_model, next_token_loss
-from .optim import make_optimizer
+from .model import LoraModel, ModelConfig, build_model
+from .optim import make_optimizer, train_step
 from .recovery import RecoveryConfig
-from .tensor import Tape
 from .util import stage_rng
 
 STAGES = ("gen-data", "pretrain", "analyze", "prune", "compress", "recover", "eval", "report")
@@ -48,33 +48,42 @@ def _stamp(cfg: PipelineConfig, stage: str) -> dict:
     return {"schema_version": 1, "stage": stage, "config_hash": cfg.config_hash(), "seed": cfg.seed}
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+def _require(out: Path, name: str, stage: str, cfg: PipelineConfig):
+    """Read a prerequisite artifact once: a JSON object, or the model of a checkpoint.
 
-
-def _require(out: Path, name: str, stage: str, cfg: PipelineConfig) -> Path:
+    A missing, unreadable or foreign-configuration artifact raises StageError
+    naming it; a checkpoint's stamp is read from its header alone.
+    """
     path = out / name
     if not path.exists():
         raise StageError(f"stage {stage}: missing prerequisite artifact {name}")
-    stamp = None
-    if name.endswith(".json"):
-        try:
-            stamp = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise StageError(
-                f"stage {stage}: prerequisite artifact {name} is not valid JSON: {e}"
-            ) from e
-        if not isinstance(stamp, dict):
-            raise StageError(f"stage {stage}: prerequisite artifact {name} is not a JSON object")
-    elif name.endswith(".lshr"):
-        stamp = checkpoint_extra(path)
-    if stamp is not None and "config_hash" in stamp and stamp["config_hash"] != cfg.config_hash():
+    checkpoint = name.endswith(".lshr")
+    try:
+        stamp = checkpoint_extra(path) if checkpoint else json.loads(path.read_text(encoding="utf-8"))
+    except (FormatError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise StageError(f"stage {stage}: prerequisite artifact {name} is unreadable: {e}") from e
+    if not isinstance(stamp, dict):
+        raise StageError(f"stage {stage}: prerequisite artifact {name} is not a JSON object")
+    if "config_hash" in stamp and stamp["config_hash"] != cfg.config_hash():
         raise StageError(
             f"stage {stage}: artifact {name} was produced under a different configuration"
         )
-    return path
+    return _load_model(path, stage) if checkpoint else stamp
+
+
+def _load_model(path: Path, stage: str) -> LoraModel:
+    try:
+        return load_checkpoint(path)
+    except FormatError as e:
+        raise StageError(f"stage {stage}: checkpoint {path.name} is corrupt: {e}") from e
+
+
+def _corpora(out: Path, stage: str, cfg: PipelineConfig) -> dict[str, SourceTaggedCorpus]:
+    payload = _require(out, "corpus.json", stage, cfg)
+    try:
+        return corpora_from_json(payload)
+    except FormatError as e:
+        raise StageError(f"stage {stage}: prerequisite artifact corpus.json: {e}") from e
 
 
 def _model_config(cfg: PipelineConfig) -> ModelConfig:
@@ -100,9 +109,7 @@ def _analysis_structures(model):
     return graph, spans, node_groups, group_set
 
 
-def _apply_statuses(group_set: GroupSet, groups_artifact: Path) -> None:
-    with open(groups_artifact, encoding="utf-8") as f:
-        payload = json.load(f)
+def _apply_statuses(group_set: GroupSet, payload: dict) -> None:
     statuses = {g["id"]: g["status"] for g in payload["group_set"]["groups"]}
     if set(statuses) != set(group_set.by_id):
         raise StageError("groups artifact does not match the model's structure groups")
@@ -139,32 +146,24 @@ def stage_gen_data(cfg: PipelineConfig, out: Path) -> None:
 
 
 def stage_pretrain(cfg: PipelineConfig, out: Path) -> None:
-    corpora, _ = load_corpora(_require(out, "corpus.json", "pretrain", cfg))
-    corpus = corpora["pretraining"]
+    corpus = _corpora(out, "pretrain", cfg)["pretraining"]
     model = build_model(_model_config(cfg))
     model.set_trainable("all")
-    params = [t for t in model.parameters().values()]
+    params = list(model.parameters().values())
     opt = make_optimizer(cfg.pretrain.optimizer, params, cfg.pretrain.learning_rate)
     rng = stage_rng(cfg.seed, "pretrain")
-    with open(out / "pretrain_log.jsonl", "w", encoding="utf-8") as log:
+    with event_log(out / "pretrain_log.jsonl") as emit:
         for step in range(cfg.pretrain.steps):
             batch = corpus.sample_batch(rng, cfg.pretrain.batch_size)
-            opt.zero_grad()
-            with Tape() as tape:
-                loss = next_token_loss(model, batch)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"pretrain: divergent loss at step {step}")
-            tape.backward(loss)
-            opt.step()
-            log.write(json.dumps({"step": step, "loss": value}, sort_keys=True) + "\n")
+            value = train_step(model, batch, opt, where=f"pretrain step {step}")
+            emit({"step": step, "loss": value})
     model.set_trainable("none")
     save_checkpoint(model, out / "model_full.lshr", extra=_stamp(cfg, "pretrain"))
 
 
 def stage_analyze(cfg: PipelineConfig, out: Path) -> None:
-    model = load_checkpoint(_require(out, "model_full.lshr", "analyze", cfg))
-    corpora, _ = load_corpora(_require(out, "corpus.json", "analyze", cfg))
+    model = _require(out, "model_full.lshr", "analyze", cfg)
+    corpora = _corpora(out, "analyze", cfg)
     eval_seqs = corpora["pretraining"].val_pool()[: cfg.analysis.eval_sequences]
     _, _, node_groups, group_set = _analysis_structures(model)
     profile = knowledge.analyze(
@@ -187,13 +186,12 @@ def derive_target_zero_groups(cfg: PipelineConfig, group_set: GroupSet) -> int:
 
 
 def stage_prune(cfg: PipelineConfig, out: Path) -> None:
-    model = load_checkpoint(_require(out, "model_full.lshr", "prune", cfg))
-    corpora, _ = load_corpora(_require(out, "corpus.json", "prune", cfg))
-    groups_artifact = _require(out, "groups.json", "prune", cfg)
-    corpus = corpora["pretraining"]
+    model = _require(out, "model_full.lshr", "prune", cfg)
+    corpus = _corpora(out, "prune", cfg)["pretraining"]
+    groups_payload = _require(out, "groups.json", "prune", cfg)
     heldout = corpus.val_pool()
     _, _, node_groups, group_set = _analysis_structures(model)
-    _apply_statuses(group_set, groups_artifact)
+    _apply_statuses(group_set, groups_payload)
 
     prunable_before = group_set.prunable_ids()
     n_prunable = len(prunable_before)
@@ -235,16 +233,16 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
         "oneshot_heldout_loss": mean_cross_entropy(oneshot, heldout),
         "oneshot_groups": sorted(oneshot_ids),
     }
-    _write_json(out / "prune_summary.json", summary)
+    write_json(out / "prune_summary.json", summary)
     dump_groups(node_groups, group_set, out / "groups_final.json")
     save_checkpoint(model, out / "model_pruned.lshr", extra=_stamp(cfg, "prune"))
 
 
 def stage_compress(cfg: PipelineConfig, out: Path) -> None:
-    model = load_checkpoint(_require(out, "model_pruned.lshr", "compress", cfg))
-    groups_artifact = _require(out, "groups_final.json", "compress", cfg)
+    model = _require(out, "model_pruned.lshr", "compress", cfg)
+    groups_payload = _require(out, "groups_final.json", "compress", cfg)
     graph, _, node_groups, group_set = _analysis_structures(model)
-    _apply_statuses(group_set, groups_artifact)
+    _apply_statuses(group_set, groups_payload)
     plan = compress.plan_compression(group_set, node_groups, graph, model)
     compact = compress.apply_compression(model, plan)
     # structural erasure must preserve the zeroed model's function exactly
@@ -253,7 +251,7 @@ def stage_compress(cfg: PipelineConfig, out: Path) -> None:
     diff = float(np.max(np.abs(model.forward(probe).data - compact.forward(probe).data)))
     if diff >= 1e-9:
         raise NumericError(f"compression equivalence violated: max |diff| = {diff:g}")
-    compress.save_plan(plan, out / "compression_plan.json", _stamp(cfg, "compress"))
+    write_json(out / "compression_plan.json", {**plan.to_json(), **_stamp(cfg, "compress")})
     save_checkpoint(
         compact,
         out / "model_compact.lshr",
@@ -262,9 +260,9 @@ def stage_compress(cfg: PipelineConfig, out: Path) -> None:
 
 
 def stage_recover(cfg: PipelineConfig, out: Path) -> None:
-    compact = load_checkpoint(_require(out, "model_compact.lshr", "recover", cfg))
-    full = load_checkpoint(_require(out, "model_full.lshr", "recover", cfg))
-    corpora, _ = load_corpora(_require(out, "corpus.json", "recover", cfg))
+    compact = _require(out, "model_compact.lshr", "recover", cfg)
+    full = _require(out, "model_full.lshr", "recover", cfg)
+    corpora = _corpora(out, "recover", cfg)
     # the full model never changes; compute its reference scores once
     full_scores = {
         phase: per_source_perplexity(full, corpora[phase], split="val") for phase in corpora
@@ -285,7 +283,7 @@ def stage_recover(cfg: PipelineConfig, out: Path) -> None:
     summary = recovery.run_recovery(
         compact, corpora, full_scores, rec_config, log_path=out / "recovery_log.jsonl"
     )
-    _write_json(
+    write_json(
         out / "recovery_summary.json",
         {
             **_stamp(cfg, "recover"),
@@ -299,7 +297,7 @@ def stage_recover(cfg: PipelineConfig, out: Path) -> None:
 
 
 def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) -> None:
-    corpora, _ = load_corpora(_require(out, "corpus.json", "eval", cfg))
+    corpora = _corpora(out, "eval", cfg)
     if models:
         paths = [Path(m) for m in models]
         for p in paths:
@@ -312,7 +310,7 @@ def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) 
             raise StageError("stage eval: no model checkpoints found; run pretrain first")
     results = {}
     for path in paths:
-        model = load_checkpoint(path)
+        model = _load_model(path, "eval")
         per_corpus = {}
         for phase, corpus in sorted(corpora.items()):
             scores = per_source_perplexity(model, corpus, split="val")
@@ -322,13 +320,13 @@ def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) 
                 "val_loss": mean_cross_entropy(model, corpus.val_pool()),
             }
         results[path.name] = {"parameters": model.parameter_count(), "corpora": per_corpus}
-    _write_json(out / "eval.json", {**_stamp(cfg, "eval"), "models": results})
+    write_json(out / "eval.json", {**_stamp(cfg, "eval"), "models": results})
 
 
 def stage_report(cfg: PipelineConfig, out: Path) -> None:
-    eval_payload = json.loads(_require(out, "eval.json", "report", cfg).read_text())
-    prune_summary = json.loads(_require(out, "prune_summary.json", "report", cfg).read_text())
-    profile = json.loads(_require(out, "knowledge_profile.json", "report", cfg).read_text())
+    eval_payload = _require(out, "eval.json", "report", cfg)
+    prune_summary = _require(out, "prune_summary.json", "report", cfg)
+    profile = _require(out, "knowledge_profile.json", "report", cfg)
     lines = ["# Pruning pipeline report", ""]
     lines += [
         f"- configuration hash: `{cfg.config_hash()}`",
@@ -379,7 +377,7 @@ def stage_report(cfg: PipelineConfig, out: Path) -> None:
             f"- post-recovery mean validation ppl: {rec['post_mean_ppl']:.4f}",
             f"- improvement: {rec['pre_mean_ppl'] - rec['post_mean_ppl']:.4f}",
         ]
-    (out / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out / "report.md", "\n".join(lines) + "\n")
 
 
 def run_stage(stage: str, cfg: PipelineConfig, out: Path) -> None:
@@ -408,8 +406,7 @@ def run_all(cfg: PipelineConfig, out: Path) -> None:
 def dump_graph_artifact(model_path: Path, out_path: Path) -> None:
     model = load_checkpoint(model_path)
     graph = build_trace_graph(model)
-    spans = mark_composed_spans(graph)
-    dump_graph(graph, spans, out_path)
+    write_json(out_path, graph_to_json(graph, mark_composed_spans(graph)))
 
 
 def dump_groups_artifact(model_path: Path, out_path: Path) -> None:

@@ -11,19 +11,18 @@ phase converges; shapes never change.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import event_log
 from .data import SourceTaggedCorpus
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .evaluate import mean_cross_entropy, per_source_perplexity
-from .model import LoraModel, next_token_loss
-from .optim import make_optimizer
-from .tensor import Tape
+from .model import LoraModel
+from .optim import lora_optimizer, train_step
 
 
 @dataclass
@@ -131,21 +130,11 @@ def recovery_round(
     model: LoraModel, subset: np.ndarray, config: RecoveryConfig, rng: np.random.Generator
 ) -> list[float]:
     """LoRA-only fine-tuning steps over a built subset."""
-    model.set_trainable("lora")
-    params = list(model.lora_parameters().values())
-    opt = make_optimizer(config.optimizer, params, config.learning_rate)
+    opt = lora_optimizer(model, config.optimizer, config.learning_rate)
     losses = []
     for step in range(config.round_steps):
         idx = rng.integers(0, len(subset), size=config.batch_size)
-        opt.zero_grad()
-        with Tape() as tape:
-            loss = next_token_loss(model, subset[idx])
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericError(f"recovery: divergent loss at step {step}")
-        tape.backward(loss)
-        opt.step()
-        losses.append(value)
+        losses.append(train_step(model, subset[idx], opt, where=f"recovery step {step}"))
     return losses
 
 
@@ -178,11 +167,6 @@ def run_recovery(
     if not phases:
         raise ConfigError("recovery requires at least one corpus phase")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x2EC0]))
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-
-    def emit(event: dict) -> None:
-        if log_fh:
-            log_fh.write(json.dumps(event, sort_keys=True) + "\n")
 
     def all_source_ppl() -> dict[str, float]:
         out = {}
@@ -191,7 +175,7 @@ def run_recovery(
                 out[f"{phase}/{name}"] = ppl
         return out
 
-    try:
+    with event_log(log_path) as emit:
         pre_ppl = all_source_ppl()
         emit({"event": "start", "pre_ppl": pre_ppl})
         for phase in phases:
@@ -224,6 +208,3 @@ def run_recovery(
         post_ppl = all_source_ppl()
         emit({"event": "done", "post_ppl": post_ppl})
         return RecoverySummary(pre_ppl=pre_ppl, post_ppl=post_ppl)
-    finally:
-        if log_fh:
-            log_fh.close()

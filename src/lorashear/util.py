@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import numpy as np
@@ -21,12 +20,6 @@ def model_hash(model: LoraModel) -> str:
         h.update(name.encode("utf-8"))
         h.update(params[name].data.astype("<f8").tobytes())
     return h.hexdigest()
-
-
-def json_hash(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
 
 
 def stage_rng(seed: int, stage: str) -> np.random.Generator:

@@ -1,0 +1,135 @@
+"""The artifact module: atomic whole-file writes, encodings, event logs, sole writer."""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import lorashear
+from lorashear.artifacts import canonical_json, event_log, write_atomic, write_json
+from lorashear.checkpoint import save_checkpoint
+
+PACKAGE = Path(lorashear.__file__).resolve().parent
+
+
+class TestAtomicWrites:
+    def test_json_payload_failing_mid_encode_keeps_previous_artifact(self, tmp_path):
+        path = tmp_path / "eval.json"
+        write_json(path, {"models": {"a": 1.5}})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"models": {"a": 1.5, "b": object()}})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.json"]
+
+    def test_disk_write_failing_mid_payload_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.md"
+        write_atomic(path, "old report\n")
+
+        def half_then_fail(self, data):
+            with open(self, "wb") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            write_atomic(path, "new report, long enough to be cut in half\n")
+        assert path.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.md"]
+
+    def test_checkpoint_failing_rename_keeps_previous_checkpoint(self, tiny_model, tmp_path, monkeypatch):
+        path = tmp_path / "m.lshr"
+        save_checkpoint(tiny_model, path)
+        before = path.read_bytes()
+        tiny_model.head.data += 1.0
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("lorashear.artifacts.os.replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            save_checkpoint(tiny_model, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lshr"]
+
+    def test_write_replaces_content_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_json(path, {"b": 1, "a": [1, 2]})
+        write_json(path, {"c": None})
+        assert path.read_text() == '{\n  "c": null\n}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+class TestEncodings:
+    def test_json_is_sorted_indented_with_newline(self, tmp_path):
+        write_json(tmp_path / "a.json", {"b": 1, "a": {"d": 2.5, "c": [1]}})
+        assert (tmp_path / "a.json").read_text() == json.dumps(
+            {"a": {"c": [1], "d": 2.5}, "b": 1}, indent=2
+        ) + "\n"
+
+    def test_unindented_json_keeps_default_separators(self, tmp_path):
+        write_json(tmp_path / "a.json", {"b": [1, 2], "a": 0}, indent=None)
+        assert (tmp_path / "a.json").read_text() == '{"a": 0, "b": [1, 2]}\n'
+
+    def test_canonical_json_is_compact_and_key_sorted(self):
+        assert canonical_json({"b": [1, 2.5], "a": {"y": None, "x": "é"}}) == (
+            b'{"a":{"x":"\\u00e9","y":null},"b":[1,2.5]}'
+        )
+
+
+class TestEventLog:
+    def test_streams_one_sorted_object_per_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        with event_log(path) as emit:
+            emit({"step": 0, "loss": 1.25})
+            emit({"event": "done"})
+        assert path.read_text() == '{"loss": 1.25, "step": 0}\n{"event": "done"}\n'
+
+    def test_no_path_records_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with event_log() as emit:
+            emit({"step": 0})
+        assert list(tmp_path.iterdir()) == []
+
+
+def _write_calls(tree: ast.AST) -> list[str]:
+    """Calls that write a file or JSON text past the artifact module."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        kwargs = {k.arg for k in node.keywords}
+        if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) and fn.value.id == "json":
+            if fn.attr == "dump" or (fn.attr == "dumps" and "indent" in kwargs):
+                found.append(f"line {node.lineno}: json.{fn.attr}")
+        elif isinstance(fn, ast.Attribute) and fn.attr in ("write_text", "write_bytes"):
+            found.append(f"line {node.lineno}: .{fn.attr}")
+        elif isinstance(fn, ast.Name) and fn.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None
+            )
+            if isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+"):
+                found.append(f"line {node.lineno}: open(..., {mode.value!r})")
+    return found
+
+
+def test_only_the_artifact_module_writes_files():
+    offenders = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "artifacts.py"
+        and (calls := _write_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_each_kind_of_write():
+    src = (
+        "json.dump(p, f)\njson.dumps(p, indent=2)\nopen(p, 'w')\nopen(p, mode='wb')\n"
+        "p.write_text(s)\np.write_bytes(b)\njson.dumps(p)\nopen(p)\nopen(p, 'rb')\n"
+    )
+    assert [c.split(": ", 1)[1] for c in _write_calls(ast.parse(src))] == [
+        "json.dump", "json.dumps", "open(..., 'w')", "open(..., 'wb')", ".write_text", ".write_bytes",
+    ]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,20 @@ def test_extra_metadata_round_trips(toy_model, tmp_path):
     path = tmp_path / "m.lshr"
     save_checkpoint(toy_model, path, extra={"stage": "prune", "config_hash": "abc"})
     assert checkpoint_extra(path) == {"stage": "prune", "config_hash": "abc"}
+
+
+def test_extra_is_read_from_the_header_alone(toy_model, tmp_path):
+    path = tmp_path / "m.lshr"
+    save_checkpoint(toy_model, path, extra={"stage": "prune"})
+    path.write_bytes(path.read_bytes()[:-100])
+    assert checkpoint_extra(path) == {"stage": "prune"}
+    with pytest.raises(FormatError, match="out of bounds"):
+        load_checkpoint(path)
+
+
+def test_meta_that_is_not_an_object_is_rejected(tmp_path):
+    path = tmp_path / "m.lshr"
+    path.write_bytes(b"LSHR" + struct.pack("<II", 1, 3) + b"[1]" + struct.pack("<I", 0))
+    for read in (checkpoint_extra, load_checkpoint):
+        with pytest.raises(FormatError, match="not a JSON object"):
+            read(path)

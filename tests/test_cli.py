@@ -95,6 +95,14 @@ class TestExitCodes:
         assert "corpus.json" in capsys.readouterr().err
         assert not (out / "model_full.lshr").exists()
 
+    def test_corpus_of_another_schema_version_is_exit_3(self, micro_cfg_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--config", str(micro_cfg_file), "--out", str(out), "gen-data"]) == 0
+        corpus = out / "corpus.json"
+        corpus.write_text(corpus.read_text().replace('"schema_version": 1', '"schema_version": 2'))
+        assert main(["--config", str(micro_cfg_file), "--out", str(out), "pretrain"]) == 3
+        assert "corpus.json: unsupported corpus schema" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [b'{"schema_version": 1, "node_gr', b"[1, 2]", b"\xff\xfe{}"])
     def test_bad_groups_before_prune_is_exit_3(self, micro_cfg_file, finished_run, tmp_path, capsys, content):
         for name in ("config.json", "corpus.json", "model_full.lshr"):
@@ -102,6 +110,22 @@ class TestExitCodes:
         (tmp_path / "groups.json").write_bytes(content)
         assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "prune"]) == 3
         assert "groups.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage,name", [("analyze", "model_full.lshr"), ("compress", "model_pruned.lshr")]
+    )
+    @pytest.mark.parametrize("keep", [20, -100])  # inside the meta block, inside the payloads
+    def test_truncated_checkpoint_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, stage, name, keep
+    ):
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        output = tmp_path / pipeline.ARTIFACTS[stage][0]
+        output.unlink()
+        (tmp_path / name).write_bytes((finished_run / name).read_bytes()[:keep])
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), stage]) == 3
+        assert name in capsys.readouterr().err
+        assert not output.exists()
 
     def test_stale_artifact_from_other_config_is_exit_3(self, micro_cfg_file, finished_run, tmp_path):
         other = dict(MICRO)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorashear.errors import ConfigError
+from lorashear.errors import ConfigError, NumericError
 from lorashear.graph import build_trace_graph, mark_composed_spans
 from lorashear.groups import (
     discover_node_groups,
@@ -24,9 +24,9 @@ from lorashear.lhspg import (
     warmup,
 )
 from lorashear.model import next_token_loss
-from lorashear.optim import make_optimizer
+from lorashear.optim import make_optimizer, train_step
 from lorashear.saliency import get_saliency
-from lorashear.tensor import Tape
+from lorashear.tensor import Tape, Tensor
 from lorashear.util import model_hash
 
 
@@ -46,7 +46,28 @@ def frozen_hash(model) -> str:
     return h.hexdigest()
 
 
+class TestTrainStep:
+    def test_non_finite_loss_raises_naming_the_caller_before_any_update(
+        self, trained_toy, monkeypatch
+    ):
+        model, corpus = trained_toy
+        before = model_hash(model)
+        opt = make_optimizer("sgd", list(model.parameters().values()), 0.3)
+        monkeypatch.setattr("lorashear.optim.next_token_loss", lambda m, b: Tensor(np.nan))
+        with pytest.raises(NumericError, match="pretrain step 7: divergent loss"):
+            batch = corpus.sample_batch(np.random.default_rng(0), 4)
+            train_step(model, batch, opt, where="pretrain step 7")
+        assert model_hash(model) == before
+
+
 class TestWarmup:
+    def test_nan_poisoned_lora_factor_raises_numeric_error(self, trained_toy):
+        model, corpus = trained_toy
+        model.blocks[0].q.lora_a.data[:] = np.nan
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericError):
+            warmup(model, lambda: corpus.sample_batch(rng, 4), steps=3, learning_rate=0.3)
+
     def test_zero_steps_leave_model_unchanged(self, trained_toy):
         model, corpus = trained_toy
         before = model_hash(model)

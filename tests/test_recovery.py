@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lorashear.data import SourcePool, SourceTaggedCorpus, generate_corpus
-from lorashear.errors import ConfigError
+from lorashear.errors import ConfigError, NumericError
 from lorashear.evaluate import per_source_perplexity
 from lorashear.recovery import (
     ConvergenceTracker,
@@ -14,6 +14,7 @@ from lorashear.recovery import (
     allocate_subset,
     build_subset,
     measure_degradation,
+    recovery_round,
     run_recovery,
 )
 
@@ -171,6 +172,15 @@ class TestTracker:
         assert tracker.update(1.0) is False  # improvement resets the counter
         assert tracker.update(1.5) is False
         assert tracker.update(1.4) is True
+
+
+class TestRecoveryRound:
+    def test_nan_poisoned_lora_factor_raises_numeric_error(self, trained_toy):
+        model, corpus = trained_toy
+        model.blocks[1].down.lora_b.data[:] = np.nan
+        config = RecoveryConfig(subset_size=8, source_floor=0.0, round_steps=3, learning_rate=0.1)
+        with pytest.raises(NumericError):
+            recovery_round(model, corpus.train_pool()[:8], config, np.random.default_rng(0))
 
 
 class TestRunRecovery:
