@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import canonical_json, write_atomic
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .model import Block, LoraLinear, LoraModel, ModelConfig
 from .tensor import Tensor
 
@@ -95,13 +95,14 @@ def save_checkpoint(model: LoraModel, path: str | Path, extra: dict | None = Non
 
 
 class _Reader:
-    def __init__(self, f):
+    def __init__(self, f, path):
         self.f = f
+        self.path = path
 
     def take(self, n: int) -> bytes:
         out = self.f.read(n)
         if len(out) < n:
-            raise FormatError("checkpoint truncated")
+            raise FormatError(f"{self.path}: checkpoint truncated")
         return out
 
     def u8(self) -> int:
@@ -117,8 +118,9 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
 
-def _read_meta(r: _Reader, path) -> dict:
+def _read_meta(r: _Reader) -> dict:
     """Magic, version and the meta block: everything before the tensor table."""
+    path = r.path
     if r.take(4) != MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint")
     version = r.u32()
@@ -137,13 +139,16 @@ def _read_meta(r: _Reader, path) -> dict:
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Raw read: (meta, tensors). Validates magic, version, and bounds."""
     blob = Path(path).read_bytes()
-    r = _Reader(io.BytesIO(blob))
-    meta = _read_meta(r, path)
+    r = _Reader(io.BytesIO(blob), path)
+    meta = _read_meta(r)
     n_tensors = r.u32()
     tensors: dict[str, np.ndarray] = {}
     entries = []
     for _ in range(n_tensors):
-        name = r.take(r.u16()).decode("utf-8")
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: corrupt tensor name: {e}") from e
         dtype = r.u8()
         if dtype != _DTYPE_F64:
             raise FormatError(f"{path}: unknown dtype code {dtype} for tensor {name}")
@@ -174,9 +179,11 @@ def load_checkpoint(path: str | Path) -> LoraModel:
             block_size=c["block_size"],
             seed=c["seed"],
         )
-        block_meta = meta["blocks"]
+        block_dims = [(bm["n_heads"], bm["head_dim"], bm["mlp_dim"]) for bm in meta["blocks"]]
     except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: meta missing field {e}") from e
+    except ConfigError as e:
+        raise FormatError(f"{path}: invalid config meta: {e}") from e
 
     def tensor(name: str) -> Tensor:
         if name not in tensors:
@@ -192,7 +199,7 @@ def load_checkpoint(path: str | Path) -> LoraModel:
         return LoraLinear(tensor(f"{prefix}.weight"), a, b, config.lora_gamma)
 
     blocks = []
-    for i, bm in enumerate(block_meta):
+    for i, (n_heads, head_dim, mlp_dim) in enumerate(block_dims):
         p = f"blocks.{i}"
         blocks.append(
             Block(
@@ -205,9 +212,9 @@ def load_checkpoint(path: str | Path) -> LoraModel:
                 lora_linear(f"{p}.mlp.gate"),
                 lora_linear(f"{p}.mlp.up"),
                 lora_linear(f"{p}.mlp.down"),
-                n_heads=bm["n_heads"],
-                head_dim=bm["head_dim"],
-                mlp_dim=bm["mlp_dim"],
+                n_heads=n_heads,
+                head_dim=head_dim,
+                mlp_dim=mlp_dim,
             )
         )
     model = LoraModel(
@@ -225,4 +232,4 @@ def load_checkpoint(path: str | Path) -> LoraModel:
 def checkpoint_extra(path: str | Path) -> dict:
     """The ``extra`` meta of a checkpoint, read from its header alone."""
     with open(path, "rb") as f:
-        return _read_meta(_Reader(f), path).get("extra", {})
+        return _read_meta(_Reader(f, path)).get("extra", {})

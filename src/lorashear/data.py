@@ -55,13 +55,18 @@ def _gen_markov(rng: np.random.Generator, length: int, vocab: int) -> np.ndarray
     states = np.arange(1, min(vocab, 40))
     n = len(states)
     nexts = np.stack([rng.permutation(n)[:4] for _ in range(n)])
-    probs = np.array([0.55, 0.25, 0.15, 0.05])
-    out = np.empty(length, dtype=np.int64)
+    # rng.choice(4, p=probs) draws one rng.random() per pick and searches the
+    # normalised CDF; drawing all of them at once gives the same picks
+    cdf = np.array([0.55, 0.25, 0.15, 0.05]).cumsum()
+    cdf /= cdf[-1]
     s = int(rng.integers(0, n))
-    for i in range(length):
-        out[i] = states[s]
-        s = int(nexts[s][rng.choice(4, p=probs)])
-    return out
+    picks = cdf.searchsorted(rng.random(length), side="right")
+    table = nexts.tolist()
+    walk = np.empty(length, dtype=np.int64)
+    for i, pick in enumerate(picks.tolist()):
+        walk[i] = s
+        s = table[s][pick]
+    return states[walk]
 
 
 def _gen_brackets(rng: np.random.Generator, length: int, vocab: int) -> np.ndarray:
@@ -187,17 +192,21 @@ def load_corpora(path) -> tuple[dict[str, SourceTaggedCorpus], dict]:
 
 
 def corpora_from_json(payload: dict) -> dict[str, SourceTaggedCorpus]:
+    """Corpora of a ``corpus.json`` payload; FormatError for any other schema."""
     if payload.get("schema_version") != 1:
         raise FormatError("unsupported corpus schema")
-    corpora = {}
-    for name, sources in payload["corpora"].items():
-        pools = {
-            src: SourcePool(
-                src,
-                train=np.asarray(d["train"], dtype=np.int64),
-                val=np.asarray(d["val"], dtype=np.int64),
-            )
-            for src, d in sources.items()
-        }
-        corpora[name] = SourceTaggedCorpus(name=name, sources=pools)
+    try:
+        corpora = {}
+        for name, sources in payload["corpora"].items():
+            pools = {
+                src: SourcePool(
+                    src,
+                    train=np.asarray(d["train"], dtype=np.int64),
+                    val=np.asarray(d["val"], dtype=np.int64),
+                )
+                for src, d in sources.items()
+            }
+            corpora[name] = SourceTaggedCorpus(name=name, sources=pools)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise FormatError(f"corpus schema violated: {type(e).__name__}: {e}") from e
     return corpora

@@ -11,13 +11,32 @@ from . import tensor as T
 from .data import SourceTaggedCorpus
 from .errors import ConfigError
 from .model import LoraModel
+from .tensor import Tensor
 from .util import eval_parallelism
 
 _CHUNK = 32  # fixed so summation order (and therefore bytes) is reproducible
 
 
-def mean_cross_entropy(model: LoraModel, sequences: np.ndarray) -> float:
-    """Mean next-token cross entropy over (n, seq_len + 1) id sequences."""
+def empty_residuals(sequences: np.ndarray, sublayers) -> list[dict[int, Tensor | None]]:
+    """One ``keep`` dict naming ``sublayers`` per chunk that ``mean_cross_entropy`` scores."""
+    n = len(np.atleast_2d(sequences))
+    return [dict.fromkeys(sublayers) for _ in range(0, n, _CHUNK)]
+
+
+def mean_cross_entropy(
+    model: LoraModel,
+    sequences: np.ndarray,
+    *,
+    start: int = 0,
+    residuals: list[dict[int, Tensor | None]] | None = None,
+    keep: list[dict[int, Tensor | None]] | None = None,
+) -> float:
+    """Mean next-token cross entropy over (n, seq_len + 1) id sequences.
+
+    ``start``, ``residuals`` and ``keep`` pass through to ``LoraModel.forward``
+    per chunk: ``residuals[c]`` and ``keep[c]`` are chunk c's dicts of
+    residual streams by sublayer (see ``empty_residuals``).
+    """
     sequences = np.asarray(sequences)
     if sequences.ndim == 1:
         sequences = sequences[None, :]
@@ -25,9 +44,14 @@ def mean_cross_entropy(model: LoraModel, sequences: np.ndarray) -> float:
         raise ConfigError("evaluation set is empty")
     total_nll = 0.0
     total_tokens = 0
-    for start in range(0, len(sequences), _CHUNK):
-        chunk = sequences[start : start + _CHUNK]
-        logits = model.forward(chunk[:, :-1])
+    for c, begin in enumerate(range(0, len(sequences), _CHUNK)):
+        chunk = sequences[begin : begin + _CHUNK]
+        logits = model.forward(
+            chunk[:, :-1],
+            start=start,
+            residual=residuals[c][start] if start else None,
+            keep=None if keep is None else keep[c],
+        )
         loss = T.cross_entropy(logits, chunk[:, 1:])
         tokens = chunk[:, 1:].size
         total_nll += loss.item() * tokens

@@ -509,7 +509,9 @@ def group_set_to_json(group_set: GroupSet) -> dict:
 
 
 def dump_groups(node_groups: NodeGroups, group_set: GroupSet, path) -> None:
+    # unindented: the slice index lists are most of the bytes
     write_json(
         path,
         {"node_groups": node_groups_to_json(node_groups), "group_set": group_set_to_json(group_set)},
+        indent=None,
     )

@@ -7,8 +7,14 @@ set, and the model is restored bit-identically (enforced by hashing all
 tensors before and after). The node groups with the largest mean deviation
 are marked unprunable, which flags every structure group they own.
 
-Probes are independent, so they may run in parallel on model clones; the
-profile is merged by node-group id and is deterministic either way.
+The intact model is scored once, and that pass keeps the residual stream
+entering each sublayer a probe first changes. Every probe forward resumes
+there instead of re-running the embedding and the blocks it left intact;
+the same ops run on the same inputs, so every number is unchanged.
+
+Probes are independent, so they may run in parallel on model clones, which
+share the read-only residual streams; the profile is merged by node-group id
+and is deterministic either way.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ import numpy as np
 
 from .artifacts import write_atomic, write_json
 from .errors import ConfigError, CorruptionError
-from .evaluate import perplexity
-from .groups import GroupSet, NodeGroups, StructureGroup, zero_structure
+from .evaluate import empty_residuals, mean_cross_entropy, perplexity
+from .groups import GroupSet, NodeGroups, zero_structure
 from .model import LoraModel
 from .saliency import SaliencyFn, get_saliency
 from .util import eval_parallelism, model_hash
@@ -61,15 +67,12 @@ class KnowledgeProfile:
         }
 
 
-def _probe_selection(
-    model: LoraModel, groups: list[StructureGroup], ratio: float, saliency_fn: SaliencyFn
-) -> list[StructureGroup]:
-    """Lowest-saliency fraction ``ratio`` of the node group's structures."""
-    k = math.ceil(ratio * len(groups))
-    if k == 0:
-        return []
-    scored = sorted(groups, key=lambda g: (saliency_fn(model, g), g.id))
-    return scored[:k]
+def _resume_point(model: LoraModel, written, residuals) -> int:
+    """Latest sublayer ``residuals`` holds at or before the first that reads a ``written`` tensor."""
+    if not residuals:
+        return 0
+    first = model.first_reader(written)
+    return max((s for s in residuals[0] if s <= first), default=0)
 
 
 def probe_deviation(
@@ -80,28 +83,34 @@ def probe_deviation(
     eval_seqs: np.ndarray,
     saliency_fn: SaliencyFn,
     base_ppl: float | None = None,
+    residuals: list[dict] | None = None,
 ) -> float:
     """Mean over ratios of ppl(partially zeroed) - ppl(intact).
 
-    The model is restored bit-identically after every ratio; a full-tensor
-    hash mismatch is a hard corruption failure.
+    The node group's structures are ranked by (saliency, id) once; each ratio
+    zeroes the first ``ceil(ratio * n)`` of them. ``residuals`` holds the
+    intact model's residual streams per evaluation chunk, as ``analyze``
+    records them; each ratio's forward then resumes at the latest recorded
+    sublayer at or before the first one that reads a zeroed tensor, where
+    the streams are still the intact model's. The model is restored
+    bit-identically after every ratio; a full-tensor hash mismatch is a
+    hard corruption failure.
     """
     groups = [g for g in group_set.groups if g.node_group == node_group_id]
     pre_hash = model_hash(model)
     if base_ppl is None:
         base_ppl = perplexity(model, eval_seqs)
     params = model.parameters()
+    ranked = sorted(groups, key=lambda g: (saliency_fn(model, g), g.id))
     deviations = []
     for ratio in ratios:
-        chosen = _probe_selection(model, groups, ratio, saliency_fn)
-        if not chosen:
-            deviations.append(perplexity(model, eval_seqs) - base_ppl)
-            continue
+        chosen = ranked[: math.ceil(ratio * len(ranked))]
         affected = sorted({s.param for g in chosen for s in g.slices})
         snapshot = {name: params[name].data.copy() for name in affected}
         for g in chosen:
             zero_structure(model, g)
-        pruned_ppl = perplexity(model, eval_seqs)
+        start = _resume_point(model, [params[name] for name in affected], residuals)
+        pruned_ppl = math.exp(mean_cross_entropy(model, eval_seqs, start=start, residuals=residuals))
         for name in affected:
             params[name].data[:] = snapshot[name]
         deviations.append(pruned_ppl - base_ppl)
@@ -131,10 +140,17 @@ def analyze(
     saliency_fn = get_saliency(saliency)
     families = node_groups.prunable_families()
     family_ids = [f.id for f in families]
-    base_ppl = perplexity(model, eval_seqs)
+    # keep the intact residual stream only where some probe resumes
+    params = model.parameters()
+    written: dict[str, set[str]] = {}
+    for g in group_set.groups:
+        written.setdefault(g.node_group, set()).update(s.param for s in g.slices)
+    starts = {model.first_reader(params[n] for n in written.get(fid, ())) for fid in family_ids}
+    residuals = empty_residuals(eval_seqs, starts - {0})
+    base_ppl = math.exp(mean_cross_entropy(model, eval_seqs, keep=residuals))
 
     def probe(fid: str, target: LoraModel) -> float:
-        return probe_deviation(target, group_set, fid, ratios, eval_seqs, saliency_fn, base_ppl)
+        return probe_deviation(target, group_set, fid, ratios, eval_seqs, saliency_fn, base_ppl, residuals)
 
     workers = min(eval_parallelism(), len(family_ids))
     if workers <= 1:

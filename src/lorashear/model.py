@@ -10,6 +10,12 @@ at zero so a fresh model is exactly the frozen model.
 
 Blocks carry their own head count and MLP width so structurally compressed
 models (which may differ per block) reuse the same forward path.
+
+The forward is a run of sublayers over one residual stream: sublayer ``2*i``
+is block i's attention, ``2*i + 1`` its MLP, and ``2*n_layers`` the final
+norm and head. It can start at any sublayer from a residual stream a
+previous forward handed back, so a caller that changed only later tensors
+skips the unchanged prefix.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ class LoraLinear:
     @property
     def has_lora(self) -> bool:
         return self.lora_a is not None
+
+    def tensors(self) -> list[Tensor]:
+        return [self.weight] if not self.has_lora else [self.weight, self.lora_a, self.lora_b]
 
     def apply(self, h: Tensor) -> Tensor:
         if not self.has_lora:
@@ -210,10 +219,42 @@ class LoraModel:
         for mod in self.lora_linears().values():
             mod.merge_lora()
 
+    def first_reader(self, tensors) -> int:
+        """First sublayer of ``forward`` that reads any of ``tensors``, matched by identity.
+
+        The embeddings count as read by sublayer 0, the only start that
+        recomputes them; 0 also when no sublayer reads any of them.
+        """
+        written = {id(t) for t in tensors}
+        reads = []
+        for blk in self.blocks:
+            reads.append([blk.attn_norm, *(t for m in (blk.q, blk.k, blk.v, blk.o) for t in m.tensors())])
+            reads.append([blk.mlp_norm, *(t for m in (blk.gate, blk.up, blk.down) for t in m.tensors())])
+        reads.append([self.final_norm, self.head])
+        reads[0] += [self.tok_embedding, self.pos_embedding]
+        for s, tensors_read in enumerate(reads):
+            if any(id(t) in written for t in tensors_read):
+                return s
+        return 0
+
     # ---- forward ---------------------------------------------------------------
 
-    def forward(self, tokens: np.ndarray) -> Tensor:
-        """Causal logits for ids of shape (T,) or (B, T)."""
+    def forward(
+        self,
+        tokens: np.ndarray,
+        *,
+        start: int = 0,
+        residual: Tensor | None = None,
+        keep: dict[int, Tensor | None] | None = None,
+    ) -> Tensor:
+        """Causal logits for ids of shape (T,) or (B, T).
+
+        With ``start`` > 0 the forward begins at that sublayer from
+        ``residual``, the (B, T, dim) stream entering it, and skips the
+        embedding and every earlier sublayer. Each sublayer named in ``keep``
+        that the forward passes gets the residual stream entering it stored
+        there.
+        """
         tokens = np.asarray(tokens)
         squeeze = tokens.ndim == 1
         if squeeze:
@@ -226,14 +267,30 @@ class LoraModel:
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
             raise InputError(f"forward: token id out of range for vocab {self.config.vocab_size}")
 
-        positions = np.broadcast_to(np.arange(t), (b, t))
-        h = T.add(
-            T.embedding_lookup(self.tok_embedding, tokens),
-            T.embedding_lookup(self.pos_embedding, positions),
-        )
-        for blk in self.blocks:
-            h = T.add(h, self._attention(blk, T.rmsnorm(h, blk.attn_norm)))
-            h = T.add(h, self._mlp(blk, T.rmsnorm(h, blk.mlp_norm)))
+        n_sublayers = 2 * len(self.blocks)
+        if start == 0:
+            positions = np.broadcast_to(np.arange(t), (b, t))
+            h = T.add(
+                T.embedding_lookup(self.tok_embedding, tokens),
+                T.embedding_lookup(self.pos_embedding, positions),
+            )
+        elif 0 < start <= n_sublayers and residual is not None and residual.shape == (b, t, self.config.dim):
+            h = residual
+        else:
+            raise InputError(
+                f"forward: starting at sublayer {start} of {n_sublayers} needs a "
+                f"({b}, {t}, {self.config.dim}) residual"
+            )
+        for s in range(start, n_sublayers + 1):
+            if keep is not None and s in keep:
+                keep[s] = h
+            if s == n_sublayers:
+                break
+            blk = self.blocks[s // 2]
+            if s % 2 == 0:
+                h = T.add(h, self._attention(blk, T.rmsnorm(h, blk.attn_norm)))
+            else:
+                h = T.add(h, self._mlp(blk, T.rmsnorm(h, blk.mlp_norm)))
         logits = T.linear(T.rmsnorm(h, self.final_norm), self.head)
         return T.reshape(logits, logits.shape[1:]) if squeeze else logits
 

@@ -23,7 +23,7 @@ from .data import SourceTaggedCorpus, corpora_from_json, generate_corpus, save_c
 from .errors import FormatError, NumericError, StageError
 from .evaluate import mean_cross_entropy, per_source_perplexity
 from .graph import build_trace_graph, graph_to_json, mark_composed_spans
-from .groups import GroupSet, dump_groups, discover_node_groups, partition_variables
+from .groups import STATUSES, GroupSet, dump_groups, discover_node_groups, partition_variables
 from .lhspg import LhspgConfig, run_lhspg
 from .model import LoraModel, ModelConfig, build_model
 from .optim import make_optimizer, train_step
@@ -68,14 +68,17 @@ def _require(out: Path, name: str, stage: str, cfg: PipelineConfig):
         raise StageError(
             f"stage {stage}: artifact {name} was produced under a different configuration"
         )
-    return _load_model(path, stage) if checkpoint else stamp
+    return _load_model(path, f"stage {stage}") if checkpoint else stamp
 
 
-def _load_model(path: Path, stage: str) -> LoraModel:
+def _load_model(path: Path, where: str) -> LoraModel:
+    """The model of a checkpoint; StageError naming it when missing or corrupt."""
+    if not path.is_file():
+        raise StageError(f"{where}: checkpoint not found: {path}")
     try:
         return load_checkpoint(path)
     except FormatError as e:
-        raise StageError(f"stage {stage}: checkpoint {path.name} is corrupt: {e}") from e
+        raise StageError(f"{where}: checkpoint {path.name} is corrupt: {e}") from e
 
 
 def _corpora(out: Path, stage: str, cfg: PipelineConfig) -> dict[str, SourceTaggedCorpus]:
@@ -109,10 +112,19 @@ def _analysis_structures(model):
     return graph, spans, node_groups, group_set
 
 
-def _apply_statuses(group_set: GroupSet, payload: dict) -> None:
-    statuses = {g["id"]: g["status"] for g in payload["group_set"]["groups"]}
+def _apply_statuses(group_set: GroupSet, payload: dict, name: str, stage: str) -> None:
+    try:
+        statuses = {g["id"]: g["status"] for g in payload["group_set"]["groups"]}
+    except (KeyError, TypeError) as e:
+        raise StageError(
+            f"stage {stage}: prerequisite artifact {name} has no valid group_set: "
+            f"{type(e).__name__}: {e}"
+        ) from e
     if set(statuses) != set(group_set.by_id):
-        raise StageError("groups artifact does not match the model's structure groups")
+        raise StageError(f"stage {stage}: {name} does not match the model's structure groups")
+    unknown = sorted({str(v) for v in statuses.values() if v not in STATUSES})
+    if unknown:
+        raise StageError(f"stage {stage}: {name} has unknown group statuses {unknown}")
     for gid, status in statuses.items():
         group_set.set_status(gid, status)
 
@@ -191,7 +203,7 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     groups_payload = _require(out, "groups.json", "prune", cfg)
     heldout = corpus.val_pool()
     _, _, node_groups, group_set = _analysis_structures(model)
-    _apply_statuses(group_set, groups_payload)
+    _apply_statuses(group_set, groups_payload, "groups.json", "prune")
 
     prunable_before = group_set.prunable_ids()
     n_prunable = len(prunable_before)
@@ -242,7 +254,7 @@ def stage_compress(cfg: PipelineConfig, out: Path) -> None:
     model = _require(out, "model_pruned.lshr", "compress", cfg)
     groups_payload = _require(out, "groups_final.json", "compress", cfg)
     graph, _, node_groups, group_set = _analysis_structures(model)
-    _apply_statuses(group_set, groups_payload)
+    _apply_statuses(group_set, groups_payload, "groups_final.json", "compress")
     plan = compress.plan_compression(group_set, node_groups, graph, model)
     compact = compress.apply_compression(model, plan)
     # structural erasure must preserve the zeroed model's function exactly
@@ -310,7 +322,7 @@ def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) 
             raise StageError("stage eval: no model checkpoints found; run pretrain first")
     results = {}
     for path in paths:
-        model = _load_model(path, "eval")
+        model = _load_model(path, "stage eval")
         per_corpus = {}
         for phase, corpus in sorted(corpora.items()):
             scores = per_source_perplexity(model, corpus, split="val")
@@ -404,12 +416,12 @@ def run_all(cfg: PipelineConfig, out: Path) -> None:
 
 
 def dump_graph_artifact(model_path: Path, out_path: Path) -> None:
-    model = load_checkpoint(model_path)
+    model = _load_model(model_path, "graph dump")
     graph = build_trace_graph(model)
     write_json(out_path, graph_to_json(graph, mark_composed_spans(graph)))
 
 
 def dump_groups_artifact(model_path: Path, out_path: Path) -> None:
-    model = load_checkpoint(model_path)
+    model = _load_model(model_path, "groups dump")
     _, _, node_groups, group_set = _analysis_structures(model)
     dump_groups(node_groups, group_set, out_path)

@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -98,3 +100,51 @@ def test_meta_that_is_not_an_object_is_rejected(tmp_path):
     for read in (checkpoint_extra, load_checkpoint):
         with pytest.raises(FormatError, match="not a JSON object"):
             read(path)
+
+
+def test_every_truncation_error_names_the_file(toy_model, tmp_path):
+    path = tmp_path / "m.lshr"
+    save_checkpoint(toy_model, path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.lshr"
+    named = f"^{re.escape(str(cut))}: "
+    for keep in (3, 10, 40, len(blob) - 5):
+        cut.write_bytes(blob[:keep])
+        with pytest.raises(FormatError, match=named):
+            load_checkpoint(cut)
+    cut.write_bytes(blob[:10])
+    with pytest.raises(FormatError, match=named):
+        checkpoint_extra(cut)
+
+
+def with_meta(meta: dict, path):
+    """A checkpoint of no tensors whose meta block is ``meta``."""
+    raw = json.dumps(meta).encode()
+    path.write_bytes(b"LSHR" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", 0))
+    return path
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda m: m["blocks"][0].pop("mlp_dim"), "meta missing field"),
+    (lambda m: m["config"].update(n_heads=3), "invalid config meta"),
+])
+def test_bad_meta_is_a_format_error_naming_the_file(toy_model, tmp_path, mutate, message):
+    from lorashear.checkpoint import model_meta
+
+    meta = model_meta(toy_model)
+    mutate(meta)
+    path = with_meta(meta, tmp_path / "m.lshr")
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
+        load_checkpoint(path)
+
+
+def test_corrupt_tensor_name_is_a_format_error(toy_model, tmp_path):
+    path = tmp_path / "m.lshr"
+    save_checkpoint(toy_model, path)
+    blob = bytearray(path.read_bytes())
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    first_name = 12 + meta_len + 4 + 2  # after the meta, the tensor count and the name length
+    blob[first_name] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="corrupt tensor name"):
+        load_checkpoint(path)

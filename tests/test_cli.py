@@ -111,6 +111,46 @@ class TestExitCodes:
         assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "prune"]) == 3
         assert "groups.json" in capsys.readouterr().err
 
+    def test_groups_without_group_set_before_prune_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys
+    ):
+        for name in ("config.json", "corpus.json", "model_full.lshr"):
+            (tmp_path / name).write_bytes((finished_run / name).read_bytes())
+        (tmp_path / "groups.json").write_text('{"schema_version": 1}')
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "prune"]) == 3
+        assert "groups.json has no valid group_set" in capsys.readouterr().err
+        assert not (tmp_path / "model_pruned.lshr").exists()
+
+    def test_groups_with_unknown_status_before_compress_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys
+    ):
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        (tmp_path / "model_compact.lshr").unlink()
+        payload = json.loads((finished_run / "groups_final.json").read_text())
+        payload["group_set"]["groups"][0]["status"] = "gone"
+        (tmp_path / "groups_final.json").write_text(json.dumps(payload))
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "compress"]) == 3
+        assert "groups_final.json has unknown group statuses ['gone']" in capsys.readouterr().err
+        assert not (tmp_path / "model_compact.lshr").exists()
+
+    @pytest.mark.parametrize("corpora", [None, [1, 2], {"pretraining": {"markov": {"train": []}}}])
+    def test_corpus_without_valid_corpora_before_eval_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, corpora
+    ):
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        payload = json.loads((finished_run / "corpus.json").read_text())
+        if corpora is None:
+            del payload["corpora"]
+        else:
+            payload["corpora"] = corpora
+        (tmp_path / "corpus.json").write_text(json.dumps(payload))
+        (tmp_path / "eval.json").unlink()
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "eval"]) == 3
+        assert "corpus.json: corpus schema violated" in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
+
     @pytest.mark.parametrize(
         "stage,name", [("analyze", "model_full.lshr"), ("compress", "model_pruned.lshr")]
     )
@@ -217,6 +257,30 @@ class TestDumps:
         groups = payload["group_set"]["groups"]
         assert len(groups) == 2 * (16 + 2)
         assert all(g["status"] == "prunable" for g in groups)
+
+
+    @pytest.mark.parametrize("command", ["graph", "groups"])
+    @pytest.mark.parametrize("content", [b"LSHR\x01\x00\x00\x00\x10\x00", None])
+    def test_dump_of_a_bad_checkpoint_is_exit_3_naming_it(
+        self, finished_run, tmp_path, capsys, command, content
+    ):
+        ckpt = tmp_path / "model_compact.lshr"
+        if content is not None:  # ten bytes: the header ends inside the meta length
+            ckpt.write_bytes(content)
+        out = tmp_path / "dump.json"
+        assert main([command, "dump", "--checkpoint", str(ckpt), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{command} dump: checkpoint" in err and str(ckpt) in err
+        assert not out.exists()
+
+    def test_groups_dump_is_compact_json(self, finished_run, tmp_path):
+        out = tmp_path / "groups.json"
+        assert main(["groups", "dump", "--checkpoint", str(finished_run / "model_full.lshr"),
+                     "--output", str(out)]) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        analyzed = json.loads((finished_run / "groups.json").read_text())
+        assert json.loads(text)["node_groups"] == analyzed["node_groups"]
 
 
 class TestReport:

@@ -6,6 +6,7 @@ import pytest
 from lorashear.data import (
     INSTRUCT_KINDS,
     PRETRAIN_KINDS,
+    _gen_markov,
     generate_corpus,
     load_corpora,
     save_corpora,
@@ -15,7 +16,32 @@ from lorashear.evaluate import mean_cross_entropy, per_source_perplexity, perple
 from lorashear.model import next_token_loss
 
 
+def markov_per_token(rng, length, vocab):
+    """Reference Markov source: one ``rng.choice`` per transition."""
+    states = np.arange(1, min(vocab, 40))
+    n = len(states)
+    nexts = np.stack([rng.permutation(n)[:4] for _ in range(n)])
+    probs = np.array([0.55, 0.25, 0.15, 0.05])
+    out = np.empty(length, dtype=np.int64)
+    s = int(rng.integers(0, n))
+    for i in range(length):
+        out[i] = states[s]
+        s = int(nexts[s][rng.choice(4, p=probs)])
+    return out
+
+
 class TestGeneration:
+    @pytest.mark.parametrize("length", [1, 2, 49, 97])
+    @pytest.mark.parametrize("vocab", [16, 64])
+    def test_markov_equals_per_token_reference(self, length, vocab):
+        for seed in range(50):
+            fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _gen_markov(fast, length, vocab)
+            want = markov_per_token(ref, length, vocab)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert fast.random() == ref.random()  # the generator is left in the same state
+
     def test_deterministic_given_rng_seed(self):
         a = generate_corpus("p", PRETRAIN_KINDS, 8, 2, 20, 64, np.random.default_rng(5))
         b = generate_corpus("p", PRETRAIN_KINDS, 8, 2, 20, 64, np.random.default_rng(5))

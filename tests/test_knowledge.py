@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from lorashear.errors import ConfigError, CorruptionError
-from lorashear.evaluate import perplexity
+from lorashear.evaluate import _CHUNK, empty_residuals, mean_cross_entropy, perplexity
 from lorashear.graph import build_trace_graph, mark_composed_spans
 from lorashear.groups import discover_node_groups, partition_variables, zero_structure
 from lorashear.knowledge import analyze, probe_deviation
@@ -94,6 +95,90 @@ class TestProbe:
             probe_deviation(model, group_set, f, (0.5,), eval_seqs, SAL) for f in reversed(fams)
         ]
         assert forward_order == list(reversed(reverse_order))
+
+
+def zeroed_clone_ppl(model, group_set, family_id, ratio, eval_seqs):
+    """From-scratch reference: zero the probe's selection on a clone, full forward."""
+    groups = [g for g in group_set.groups if g.node_group == family_id]
+    ranked = sorted(groups, key=lambda g: (SAL(model, g), g.id))
+    clone = model.clone()
+    for g in ranked[: math.ceil(ratio * len(groups))]:
+        zero_structure(clone, g)
+    return perplexity(clone, eval_seqs)
+
+
+RATIOS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+class TestResume:
+    """Probes resume from the intact model's residual stream; every number stays bitwise."""
+
+    @pytest.fixture(params=[8, _CHUNK + 9], ids=["one-chunk", "two-chunks"])
+    def resumed(self, request, trained_toy):
+        model, corpus = trained_toy
+        node_groups, group_set = structures(model)
+        eval_seqs = np.concatenate([corpus.val_pool(), corpus.train_pool()])[: request.param]
+        # every sublayer kept, so each probe resumes exactly where it first reads a zeroed tensor
+        residuals = empty_residuals(eval_seqs, range(1, 2 * len(model.blocks) + 1))
+        base = math.exp(mean_cross_entropy(model, eval_seqs, keep=residuals))
+        return model, node_groups, group_set, eval_seqs, residuals, base
+
+    def test_resumed_probe_equals_zeroed_clone_for_every_family_and_ratio(self, resumed):
+        model, node_groups, group_set, eval_seqs, residuals, base = resumed
+        assert base == perplexity(model, eval_seqs)
+        for family in node_groups.prunable_families():
+            for ratio in RATIOS:
+                dev = probe_deviation(
+                    model, group_set, family.id, (ratio,), eval_seqs, SAL, base, residuals
+                )
+                expected = zeroed_clone_ppl(model, group_set, family.id, ratio, eval_seqs) - base
+                assert dev == expected, (family.id, ratio)
+
+    def test_probes_leave_the_recorded_stream_untouched(self, resumed):
+        model, node_groups, group_set, eval_seqs, residuals, base = resumed
+        before = [{s: h.data.copy() for s, h in chunk.items()} for chunk in residuals]
+        for family in node_groups.prunable_families():
+            probe_deviation(model, group_set, family.id, (0.5, 1.0), eval_seqs, SAL, base, residuals)
+        for chunk, saved in zip(residuals, before):
+            assert all(np.array_equal(chunk[s].data, saved[s]) for s in saved)
+
+    def test_analyze_equals_zeroed_clone_reference(self, resumed):
+        model, node_groups, group_set, eval_seqs, _, base = resumed
+        ratios = (0.25, 0.5, 0.75)
+        profile = analyze(model, group_set, node_groups, ratios, eval_seqs, 0.25)
+        for e in profile.entries:
+            expected = [
+                zeroed_clone_ppl(model, group_set, e.node_group, r, eval_seqs) - base for r in ratios
+            ]
+            assert e.deviation == float(np.mean(expected)), e.node_group
+
+    def test_analyze_keeps_only_the_sublayers_probes_resume_from(self, probed, monkeypatch):
+        model, _, node_groups, group_set, eval_seqs = probed
+        kept = []
+
+        def spy(seqs, sublayers):
+            kept.append(set(sublayers))
+            return empty_residuals(seqs, sublayers)
+
+        monkeypatch.setattr("lorashear.knowledge.empty_residuals", spy)
+        analyze(model, group_set, node_groups, (0.25,), eval_seqs, 0.1)
+        # blocks.0.attn starts from the tokens; the other three families resume
+        assert kept == [{1, 2, 3}]
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_threaded_probes_give_the_same_profile_as_one_thread(self, resumed, monkeypatch, threads):
+        # the clones share one recorded stream; switch threads often so a write to it would show
+        model, node_groups, group_set, eval_seqs, _, _ = resumed
+        monkeypatch.setenv("LORASHEAR_THREADS", "1")
+        one = analyze(model, group_set, node_groups, (0.25, 0.5), eval_seqs, 0.25)
+        monkeypatch.setenv("LORASHEAR_THREADS", threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = analyze(model, group_set, node_groups, (0.25, 0.5), eval_seqs, 0.25)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one.to_json() == many.to_json()
 
 
 class TestAnalyze:

@@ -149,3 +149,56 @@ class TestTrainability:
     def test_loss_is_finite_and_positive(self, toy_model, toy_corpus):
         loss = next_token_loss(toy_model, toy_corpus.sources["markov"].train[:4])
         assert np.isfinite(loss.item()) and loss.item() > 0
+
+
+class TestResume:
+    @pytest.fixture
+    def trained_tokens(self, trained_toy):
+        model, corpus = trained_toy
+        return model, corpus.val_pool()[:5, :-1]
+
+    def test_resumed_forward_is_bitwise_the_full_forward(self, trained_tokens):
+        model, tokens = trained_tokens
+        n = 2 * len(model.blocks)
+        kept = dict.fromkeys(range(n + 1))
+        full = model.forward(tokens, keep=kept).data
+        assert all(kept[s] is not None for s in kept)
+        for s in range(1, n + 1):
+            resumed = model.forward(tokens, start=s, residual=kept[s]).data
+            assert np.array_equal(resumed, full), s
+
+    def test_keep_records_only_the_named_sublayers(self, trained_tokens):
+        model, tokens = trained_tokens
+        kept = {2: None}
+        model.forward(tokens, keep=kept)
+        assert list(kept) == [2] and kept[2].shape == (*tokens.shape, model.config.dim)
+
+    def test_resume_skips_every_earlier_sublayer(self, trained_tokens):
+        # zeroing block 0 changes a full forward but not one resumed after it
+        model, tokens = trained_tokens
+        kept = {2: None}
+        intact = model.forward(tokens, keep=kept).data
+        for mod in model.blocks[0].lora_linears().values():
+            mod.weight.data[:] = 0.0
+        assert not np.array_equal(model.forward(tokens).data, intact)
+        assert np.array_equal(model.forward(tokens, start=2, residual=kept[2]).data, intact)
+
+    def test_bad_start_or_residual_rejected(self, toy_model):
+        tokens = np.zeros((2, 6), dtype=np.int64)
+        kept = {1: None}
+        toy_model.forward(tokens[:, :5], keep=kept)  # a residual one position short
+        for start, residual in ((-1, None), (1, None), (5, kept[1]), (1, kept[1])):
+            with pytest.raises(InputError, match="residual"):
+                toy_model.forward(tokens, start=start, residual=residual)
+
+    def test_first_reader_matches_tensors_by_identity(self, toy_model):
+        blk0, blk1 = toy_model.blocks
+        assert toy_model.first_reader([toy_model.tok_embedding]) == 0
+        assert toy_model.first_reader([blk0.q.lora_b]) == 0
+        assert toy_model.first_reader([blk0.mlp_norm, blk1.o.weight]) == 1
+        assert toy_model.first_reader([blk1.k.weight]) == 2
+        assert toy_model.first_reader([blk1.down.lora_a]) == 3
+        assert toy_model.first_reader([toy_model.head]) == 4
+        assert toy_model.first_reader([]) == 0
+        # an equal tensor that is not the model's own is read by no sublayer
+        assert toy_model.first_reader([blk1.down.weight.copy()]) == 0
