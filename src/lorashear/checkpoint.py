@@ -137,13 +137,14 @@ def _read_meta(r: _Reader) -> dict:
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Raw read: (meta, tensors). Validates magic, version, and bounds."""
+    """Raw read: (meta, tensors). Validates magic, version, bounds, unique
+    tensor names and finite payloads."""
     blob = Path(path).read_bytes()
     r = _Reader(io.BytesIO(blob), path)
     meta = _read_meta(r)
     n_tensors = r.u32()
     tensors: dict[str, np.ndarray] = {}
-    entries = []
+    entries: dict[str, tuple[tuple[int, ...], int]] = {}
     for _ in range(n_tensors):
         try:
             name = r.take(r.u16()).decode("utf-8")
@@ -154,12 +155,16 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"{path}: unknown dtype code {dtype} for tensor {name}")
         shape = tuple(r.u32() for _ in range(r.u8()))
         offset = r.u64()
-        entries.append((name, shape, offset))
-    for name, shape, offset in entries:
+        if name in entries:
+            raise FormatError(f"{path}: duplicate tensor {name}")
+        entries[name] = (shape, offset)
+    for name, (shape, offset) in entries.items():
         nbytes = int(np.prod(shape)) * 8 if shape else 8
         if offset + nbytes > len(blob):
             raise FormatError(f"{path}: payload for tensor {name} out of bounds")
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name} holds non-finite values")
         tensors[name] = arr.astype(np.float64)  # writable copy
     return meta, tensors
 
@@ -184,34 +189,46 @@ def load_checkpoint(path: str | Path) -> LoraModel:
         raise FormatError(f"{path}: meta missing field {e}") from e
     except ConfigError as e:
         raise FormatError(f"{path}: invalid config meta: {e}") from e
+    for i, dims in enumerate(block_dims):
+        if not all(type(d) is int and d >= 0 for d in dims):
+            raise FormatError(f"{path}: block {i} meta has invalid dims {list(dims)}")
 
-    def tensor(name: str) -> Tensor:
+    dim, rank = config.dim, config.lora_rank
+    used: set[str] = set()
+
+    def tensor(name: str, *shape: int) -> Tensor:
+        """The named tensor, which must have the ``shape`` the meta implies."""
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name}")
+        if tensors[name].shape != shape:
+            raise FormatError(
+                f"{path}: tensor {name} has shape {tensors[name].shape}, the meta implies {shape}"
+            )
+        used.add(name)
         return Tensor(tensors[name])
 
-    def lora_linear(prefix: str) -> LoraLinear:
+    def lora_linear(prefix: str, out_dim: int, in_dim: int) -> LoraLinear:
         a_name, b_name = f"{prefix}.lora_A", f"{prefix}.lora_B"
-        a = tensor(a_name) if a_name in tensors else None
-        b = tensor(b_name) if b_name in tensors else None
+        a = tensor(a_name, rank, in_dim) if a_name in tensors else None
+        b = tensor(b_name, out_dim, rank) if b_name in tensors else None
         if (a is None) != (b is None):
             raise FormatError(f"{path}: {prefix} has only one LoRA factor")
-        return LoraLinear(tensor(f"{prefix}.weight"), a, b, config.lora_gamma)
+        return LoraLinear(tensor(f"{prefix}.weight", out_dim, in_dim), a, b, config.lora_gamma)
 
     blocks = []
     for i, (n_heads, head_dim, mlp_dim) in enumerate(block_dims):
-        p = f"blocks.{i}"
+        p, inner = f"blocks.{i}", n_heads * head_dim
         blocks.append(
             Block(
-                tensor(f"{p}.attn_norm.gain"),
-                lora_linear(f"{p}.attn.q"),
-                lora_linear(f"{p}.attn.k"),
-                lora_linear(f"{p}.attn.v"),
-                lora_linear(f"{p}.attn.o"),
-                tensor(f"{p}.mlp_norm.gain"),
-                lora_linear(f"{p}.mlp.gate"),
-                lora_linear(f"{p}.mlp.up"),
-                lora_linear(f"{p}.mlp.down"),
+                tensor(f"{p}.attn_norm.gain", dim),
+                lora_linear(f"{p}.attn.q", inner, dim),
+                lora_linear(f"{p}.attn.k", inner, dim),
+                lora_linear(f"{p}.attn.v", inner, dim),
+                lora_linear(f"{p}.attn.o", dim, inner),
+                tensor(f"{p}.mlp_norm.gain", dim),
+                lora_linear(f"{p}.mlp.gate", mlp_dim, dim),
+                lora_linear(f"{p}.mlp.up", mlp_dim, dim),
+                lora_linear(f"{p}.mlp.down", dim, mlp_dim),
                 n_heads=n_heads,
                 head_dim=head_dim,
                 mlp_dim=mlp_dim,
@@ -219,12 +236,15 @@ def load_checkpoint(path: str | Path) -> LoraModel:
         )
     model = LoraModel(
         config,
-        tensor("tok_embedding"),
-        tensor("pos_embedding"),
+        tensor("tok_embedding", config.vocab_size, dim),
+        tensor("pos_embedding", config.block_size, dim),
         blocks,
-        tensor("final_norm.gain"),
-        tensor("head.weight"),
+        tensor("final_norm.gain", dim),
+        tensor("head.weight", config.vocab_size, dim),
     )
+    unknown = sorted(set(tensors) - used)
+    if unknown:
+        raise FormatError(f"{path}: tensor {unknown[0]} has no slot in the model the meta describes")
     model.set_trainable("none")
     return model
 

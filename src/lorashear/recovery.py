@@ -67,13 +67,21 @@ class ConvergenceTracker:
 
 
 def measure_degradation(
-    model: LoraModel, full_scores: dict[str, float], corpus: SourceTaggedCorpus
+    model: LoraModel,
+    full_scores: dict[str, float],
+    corpus: SourceTaggedCorpus,
+    scores: dict[str, float] | None = None,
 ) -> dict[str, float]:
-    """Per-source ppl(model) - ppl(full reference) on the validation split."""
+    """Per-source ppl(model) - ppl(full reference) on the validation split.
+
+    ``scores``, when given, are ``model``'s per-source validation ppls
+    already measured on this corpus, and are used instead of scoring again.
+    """
     for name in corpus.source_names:
         if corpus.sources[name].val.size == 0:
             raise ConfigError(f"source {name!r} has an empty validation split")
-    scores = per_source_perplexity(model, corpus, split="val")
+    if scores is None:
+        scores = per_source_perplexity(model, corpus, split="val")
     return {name: scores[name] - full_scores[name] for name in corpus.source_names}
 
 
@@ -181,8 +189,16 @@ def run_recovery(
         for phase in phases:
             corpus = corpora[phase]
             tracker = ConvergenceTracker(tol=config.tol, patience=config.patience)
+            # the first phase starts from the very model pre_ppl just scored
+            start_scores = (
+                {name: pre_ppl[f"{phase}/{name}"] for name in corpus.source_names}
+                if phase == phases[0]
+                else None
+            )
             for round_idx in range(config.max_rounds):
-                degradation = measure_degradation(model, full_scores[phase], corpus)
+                degradation = measure_degradation(
+                    model, full_scores[phase], corpus, start_scores if round_idx == 0 else None
+                )
                 subset, allocations = build_subset(
                     corpus, degradation, config.subset_size, config.source_floor, rng
                 )

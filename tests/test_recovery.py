@@ -247,3 +247,31 @@ class TestRunRecovery:
         )
         summary = run_recovery(compact, corpora, full_scores, config)
         assert summary.post_mean_ppl < summary.pre_mean_ppl
+
+    def test_first_round_reuses_the_starting_scores(self, trained_toy, tmp_path, monkeypatch):
+        import lorashear.recovery as recovery
+
+        compact, corpora, full_scores = self._setup(trained_toy, tmp_path)
+        start = compact.clone()
+        config = RecoveryConfig(
+            subset_size=24, source_floor=0.05, round_steps=2, learning_rate=0.15,
+            tol=math.inf, patience=2, max_rounds=3, batch_size=4, seed=3,
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].name)
+            return per_source_perplexity(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "per_source_perplexity", counted)
+        log = tmp_path / "rec.jsonl"
+        run_recovery(compact, corpora, full_scores, config, log_path=log)
+        rounds = [e for e in map(json.loads, log.read_text().splitlines()) if e["event"] == "round"]
+        # start and done score both phases; every round but the first phase's first scores its own
+        assert len(calls) == 2 * len(corpora) + len(rounds) - 1
+        fresh = measure_degradation(start, full_scores["pretraining"], corpora["pretraining"])
+        assert rounds[0]["phase"] == "pretraining"
+        # bit for bit (JSON round-trips floats exactly)
+        assert {k: v.hex() for k, v in rounds[0]["degradation"].items()} == {
+            k: v.hex() for k, v in fresh.items()
+        }

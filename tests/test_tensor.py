@@ -1,4 +1,6 @@
+import ctypes
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,3 +471,45 @@ class TestProperties:
         for op in tape.ops:
             assert all(i in seen or i == id(x) for i in op.input_ids)
             seen.add(op.output_id)
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestFreedMemoryStaysInProcess:
+    @pytest.mark.skipif(not _has_mallopt(), reason="C library without mallopt")
+    @pytest.mark.parametrize("trainable", ["lora", "all"])
+    def test_train_steps_reuse_freed_memory(self, toy_model, toy_corpus, trainable):
+        # under glibc's malloc defaults these 20 steps fault in over 10 000 fresh pages
+        resource = pytest.importorskip("resource")
+        from lorashear.optim import make_optimizer, train_step
+
+        toy_model.set_trainable(trainable)
+        params = [t for t in toy_model.parameters().values() if t.requires_grad]
+        opt = make_optimizer("sgd", params, 1e-3)
+        rng = np.random.default_rng(0)
+        batches = [toy_corpus.sample_batch(rng, 8) for _ in range(23)]
+        assert batches[0].shape == (8, 49)  # 8x48 input tokens
+        for batch in batches[:3]:
+            train_step(toy_model, batch, opt, where="warm-up")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for batch in batches[3:]:
+            train_step(toy_model, batch, opt, where="measured")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 200
+
+    def test_silent_no_op_without_a_usable_mallopt(self, monkeypatch):
+        def refusing(param, value):
+            return 0
+
+        def no_process_handle(name):
+            raise TypeError("no handle for the running process")
+
+        for cdll in (lambda name: object(), lambda name: SimpleNamespace(mallopt=refusing),
+                     no_process_handle):
+            monkeypatch.setattr(T.ctypes, "CDLL", cdll)
+            T._keep_freed_memory()
