@@ -138,7 +138,9 @@ def _read_meta(r: _Reader) -> dict:
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Raw read: (meta, tensors). Validates magic, version, bounds, unique
-    tensor names and finite payloads."""
+    tensor names, finite payloads, and the payload layout: each payload
+    starts where the table or the previous payload ends, and the last one
+    ends the file."""
     blob = Path(path).read_bytes()
     r = _Reader(io.BytesIO(blob), path)
     meta = _read_meta(r)
@@ -158,14 +160,20 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if name in entries:
             raise FormatError(f"{path}: duplicate tensor {name}")
         entries[name] = (shape, offset)
+    expected = r.f.tell()
     for name, (shape, offset) in entries.items():
         nbytes = int(np.prod(shape)) * 8 if shape else 8
+        if offset != expected:
+            raise FormatError(f"{path}: payload for tensor {name} starts at byte {offset}, not {expected}")
         if offset + nbytes > len(blob):
             raise FormatError(f"{path}: payload for tensor {name} out of bounds")
+        expected += nbytes
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: tensor {name} holds non-finite values")
         tensors[name] = arr.astype(np.float64)  # writable copy
+    if expected != len(blob):
+        raise FormatError(f"{path}: {len(blob) - expected} trailing byte(s) after the last payload")
     return meta, tensors
 
 

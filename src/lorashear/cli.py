@@ -3,8 +3,7 @@
 One subcommand per pipeline stage plus ``run-all`` chaining them, and
 ``graph dump`` / ``groups dump`` for inspecting the dependency analysis of a
 checkpoint. Exit codes: 0 success, 2 configuration error, 3 stage
-precondition error, 4 numeric failure, 1 anything else. The environment
-variable LORASHEAR_THREADS caps evaluation parallelism.
+precondition error, 4 numeric failure, 1 anything else.
 """
 
 from __future__ import annotations

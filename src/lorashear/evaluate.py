@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .data import SourceTaggedCorpus
 from .errors import ConfigError
 from .model import LoraModel
 from .tensor import Tensor
-from .util import eval_parallelism
 
 _CHUNK = 32  # fixed so summation order (and therefore bytes) is reproducible
 
@@ -66,19 +64,10 @@ def perplexity(model: LoraModel, sequences: np.ndarray) -> float:
 def per_source_perplexity(
     model: LoraModel, corpus: SourceTaggedCorpus, split: str = "val"
 ) -> dict[str, float]:
-    """Per-source ppl; workers evaluate read-only clones, merged by name."""
-    names = corpus.source_names
-    if not names:
+    """Perplexity of each source's ``split`` pool ("val" or "train"), by source name."""
+    if not corpus.sources:
         raise ConfigError(f"corpus {corpus.name!r} has no sources")
-
-    def pool(name: str) -> np.ndarray:
-        src = corpus.sources[name]
-        return src.val if split == "val" else src.train
-
-    workers = min(eval_parallelism(), len(names))
-    if workers <= 1:
-        return {name: perplexity(model, pool(name)) for name in names}
-    clones = [model.clone() for _ in range(len(names))]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        scores = list(ex.map(lambda i: perplexity(clones[i], pool(names[i])), range(len(names))))
-    return dict(zip(names, scores))
+    return {
+        name: perplexity(model, src.val if split == "val" else src.train)
+        for name, src in sorted(corpus.sources.items())
+    }

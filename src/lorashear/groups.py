@@ -380,25 +380,25 @@ def _module_of(param: str) -> str:
     return param.rsplit(".", 1)[0]
 
 
+def _index(s: Slice) -> tuple:
+    """Index of the slice's rows (axis 0) or columns (axis 1) in its tensor."""
+    idx = list(s.indices)
+    return (idx, slice(None)) if s.axis == 0 else (slice(None), idx)
+
+
+def _zero_slices(model: LoraModel, slices: tuple[Slice, ...]) -> None:
+    params = model.parameters()
+    for s in slices:
+        params[s.param].data[_index(s)] = 0.0
+
+
 def zero_structure(model: LoraModel, group: StructureGroup) -> None:
     """Zero every slice of the group (host rows/cols plus matching LoRA slices)."""
-    params = model.parameters()
-    for s in group.slices:
-        arr = params[s.param].data
-        if s.axis == 0:
-            arr[list(s.indices), :] = 0.0
-        else:
-            arr[:, list(s.indices)] = 0.0
+    _zero_slices(model, group.slices)
 
 
 def zero_lora_slices(model: LoraModel, group: StructureGroup) -> None:
-    params = model.parameters()
-    for s in group.lora_slices():
-        arr = params[s.param].data
-        if s.axis == 0:
-            arr[list(s.indices), :] = 0.0
-        else:
-            arr[:, list(s.indices)] = 0.0
+    _zero_slices(model, group.lora_slices())
 
 
 def frozen_slice_vector(
@@ -412,8 +412,7 @@ def frozen_slice_vector(
         params = model.parameters()
     parts = []
     for s in group.host_slices():
-        arr = params[s.param].data
-        parts.append((arr[list(s.indices), :] if s.axis == 0 else arr[:, list(s.indices)]).ravel())
+        parts.append(params[s.param].data[_index(s)].ravel())
     return np.concatenate(parts)
 
 
@@ -444,14 +443,10 @@ def write_frozen_slices(model: LoraModel, group: StructureGroup, vector: np.ndar
     pos = 0
     for s in group.host_slices():
         arr = params[s.param].data
-        idx = list(s.indices)
-        shape = (len(idx), arr.shape[1]) if s.axis == 0 else (arr.shape[0], len(idx))
+        shape = list(arr.shape)
+        shape[s.axis] = len(s.indices)
         n = shape[0] * shape[1]
-        chunk = vector[pos : pos + n].reshape(shape)
-        if s.axis == 0:
-            arr[idx, :] = chunk
-        else:
-            arr[:, idx] = chunk
+        arr[_index(s)] = vector[pos : pos + n].reshape(shape)
         pos += n
     if pos != vector.size:
         raise AnalysisError(f"group {group.id}: vector size {vector.size} does not match slices")

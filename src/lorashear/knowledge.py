@@ -11,10 +11,6 @@ The intact model is scored once, and that pass keeps the residual stream
 entering each sublayer a probe first changes. Every probe forward resumes
 there instead of re-running the embedding and the blocks it left intact;
 the same ops run on the same inputs, so every number is unchanged.
-
-Probes are independent, so they may run in parallel on model clones, which
-share the read-only residual streams; the profile is merged by node-group id
-and is deterministic either way.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +28,7 @@ from .evaluate import empty_residuals, mean_cross_entropy, perplexity
 from .groups import GroupSet, NodeGroups, zero_structure
 from .model import LoraModel
 from .saliency import SaliencyFn, get_saliency
-from .util import eval_parallelism, model_hash
+from .util import model_hash
 
 
 @dataclass
@@ -149,17 +144,10 @@ def analyze(
     residuals = empty_residuals(eval_seqs, starts - {0})
     base_ppl = math.exp(mean_cross_entropy(model, eval_seqs, keep=residuals))
 
-    def probe(fid: str, target: LoraModel) -> float:
-        return probe_deviation(target, group_set, fid, ratios, eval_seqs, saliency_fn, base_ppl, residuals)
-
-    workers = min(eval_parallelism(), len(family_ids))
-    if workers <= 1:
-        deviations = {fid: probe(fid, model) for fid in family_ids}
-    else:
-        clones = {fid: model.clone() for fid in family_ids}
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = ex.map(lambda fid: (fid, probe(fid, clones[fid])), family_ids)
-            deviations = dict(results)
+    deviations = {
+        fid: probe_deviation(model, group_set, fid, ratios, eval_seqs, saliency_fn, base_ppl, residuals)
+        for fid in family_ids
+    }
 
     entries = [NodeGroupDeviation(fid, deviations[fid]) for fid in family_ids]
     n_flag = math.ceil(unprunable_fraction * len(entries))

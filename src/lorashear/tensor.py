@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -121,11 +120,11 @@ class Tape:
     _consumed: bool = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
     def record(self, op: TapeOp) -> None:
         self.ops.append(op)
@@ -161,20 +160,11 @@ class Tape:
         self._consumed = False
 
 
-_TLS = threading.local()
-
-
-def _tape_stack() -> list[Tape]:
-    # per-thread: a tape is single-threaded; concurrent no-grad evaluation on
-    # other threads must never observe it
-    if not hasattr(_TLS, "stack"):
-        _TLS.stack = []
-    return _TLS.stack
+_TAPES: list[Tape] = []  # entered tapes, innermost last
 
 
 def active_tape() -> Optional[Tape]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _check_finite(op: str, *tensors: Tensor) -> None:

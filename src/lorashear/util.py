@@ -1,15 +1,12 @@
-"""Small shared helpers: model hashing, seeding, evaluation parallelism."""
+"""Small shared helpers: model hashing and per-stage seeding."""
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
 from .model import LoraModel
-
-THREADS_ENV = "LORASHEAR_THREADS"
 
 
 def model_hash(model: LoraModel) -> str:
@@ -26,11 +23,3 @@ def stage_rng(seed: int, stage: str) -> np.random.Generator:
     """Per-stage generator so running stages individually matches run-all."""
     stage_key = int.from_bytes(hashlib.sha256(stage.encode()).digest()[:4], "little")
     return np.random.default_rng(np.random.SeedSequence([int(seed), stage_key]))
-
-
-def eval_parallelism() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -133,3 +133,53 @@ def test_guard_sees_each_kind_of_write():
     assert [c.split(": ", 1)[1] for c in _write_calls(ast.parse(src))] == [
         "json.dump", "json.dumps", "open(..., 'w')", "open(..., 'wb')", ".write_text", ".write_bytes",
     ]
+
+
+_CONCURRENCY = ("threading", "concurrent.futures", "multiprocessing")
+
+
+def _hidden_settings(tree: ast.AST) -> list[str]:
+    """Imports of thread or process pools, and reads of the environment."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            if node.attr in ("environ", "getenv"):
+                found.append((node.lineno, f"os.{node.attr}"))
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            if name in ("os.environ", "os.getenv") or any(
+                name == m or name.startswith(m + ".") for m in _CONCURRENCY
+            ):
+                found.append((node.lineno, f"import {name}"))
+    # ast.walk goes breadth first; report in source order
+    return [f"line {n}: {what}" for n, what in sorted(found, key=lambda f: f[0])]
+
+
+def test_the_package_takes_no_hidden_settings():
+    # one code path: no environment variable selects behaviour, no pool runs it
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _hidden_settings(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+
+
+def test_settings_guard_sees_each_form():
+    src = (
+        "import threading\nimport concurrent.futures\nfrom concurrent.futures import ProcessPoolExecutor\n"
+        "from concurrent import futures\nimport multiprocessing as mp\nfrom multiprocessing.pool import Pool\n"
+        "from os import environ\nfrom os import getenv\nos.environ.get('X')\nos.environ['X']\nos.getenv('X')\n"
+        "import os\nos.path.join(a, b)\nimport concurrent\nfrom .threading import x\nimport threadpoolctl\n"
+    )
+    assert [c.split(": ", 1)[1] for c in _hidden_settings(ast.parse(src))] == [
+        "import threading", "import concurrent.futures", "import concurrent.futures.ProcessPoolExecutor",
+        "import concurrent.futures", "import multiprocessing", "import multiprocessing.pool.Pool",
+        "import os.environ", "import os.getenv", "os.environ", "os.environ", "os.getenv",
+    ]

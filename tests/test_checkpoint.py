@@ -220,3 +220,43 @@ def test_corrupt_tensor_name_is_a_format_error(toy_model, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="corrupt tensor name"):
         load_checkpoint(path)
+
+
+def offset_fields(blob: bytes) -> list[int]:
+    """Byte position of each table entry's u64 payload offset, in table order."""
+    pos = 12 + struct.unpack_from("<I", blob, 8)[0]
+    n_tensors = struct.unpack_from("<I", blob, pos)[0]
+    pos += 4
+    fields = []
+    for _ in range(n_tensors):
+        pos += 2 + struct.unpack_from("<H", blob, pos)[0] + 1
+        pos += 1 + 4 * blob[pos]
+        fields.append(pos)
+        pos += 8
+    return fields
+
+
+def move_payload(i: int, to):
+    """Rewrite table entry ``i``'s offset to ``to(old offset, its field's position)``."""
+    def edit(blob):
+        field = offset_fields(blob)[i]
+        old = struct.unpack_from("<Q", blob, field)[0]
+        return blob[:field] + struct.pack("<Q", to(old, field)) + blob[field + 8:]
+    return edit
+
+
+@pytest.mark.parametrize("edit,tensor,message", [
+    (lambda blob: blob + b"\x00", None, r"1 trailing byte\(s\) after the last payload"),
+    (move_payload(1, lambda old, _: old + 8), 1, "starts at byte"),
+    (move_payload(1, lambda old, _: old - 8), 1, "starts at byte"),
+    (move_payload(0, lambda _, field: field), 0, "starts at byte"),
+], ids=["trailing-byte", "gap", "overlap", "offset-into-the-table"])
+def test_payloads_out_of_layout_are_a_format_error(toy_model, tmp_path, edit, tensor, message):
+    path = tmp_path / "m.lshr"
+    save_checkpoint(toy_model, path)
+    path.write_bytes(edit(path.read_bytes()))
+    named = re.escape(str(path)) + ": "
+    if tensor is not None:
+        named += f"payload for tensor {re.escape(sorted(toy_model.parameters())[tensor])} "
+    with pytest.raises(FormatError, match=named + message):
+        load_checkpoint(path)

@@ -182,6 +182,18 @@ class TestExitCodes:
         assert "nan.lshr: tensor head.weight holds non-finite values" in capsys.readouterr().err
         assert (tmp_path / "eval.json").read_bytes() == (finished_run / "eval.json").read_bytes()
 
+    def test_model_with_trailing_bytes_given_to_eval_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys
+    ):
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        bad = tmp_path / "trailing.lshr"
+        bad.write_bytes((finished_run / "model_full.lshr").read_bytes() + b"\x00" * 8)
+        args = ["--config", str(micro_cfg_file), "--out", str(tmp_path), "eval", "--model", str(bad)]
+        assert main(args) == 3
+        assert "trailing.lshr: 8 trailing byte(s) after the last payload" in capsys.readouterr().err
+        assert (tmp_path / "eval.json").read_bytes() == (finished_run / "eval.json").read_bytes()
+
     def test_stale_artifact_from_other_config_is_exit_3(self, micro_cfg_file, finished_run, tmp_path):
         other = dict(MICRO)
         other["seed"] = 6

@@ -119,12 +119,6 @@ class TestEvaluate:
         assert sorted(a) == toy_corpus.source_names
         assert a == b
 
-    def test_per_source_parallel_matches_sequential(self, toy_model, toy_corpus, monkeypatch):
-        seq = per_source_perplexity(toy_model, toy_corpus)
-        monkeypatch.setenv("LORASHEAR_THREADS", "3")
-        par = per_source_perplexity(toy_model, toy_corpus)
-        assert seq == par
-
     def test_empty_eval_rejected(self, toy_model):
         with pytest.raises(ConfigError, match="empty"):
             mean_cross_entropy(toy_model, np.empty((0, 10), dtype=int))

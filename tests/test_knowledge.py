@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -165,21 +164,6 @@ class TestResume:
         # blocks.0.attn starts from the tokens; the other three families resume
         assert kept == [{1, 2, 3}]
 
-    @pytest.mark.parametrize("threads", ["2", "4"])
-    def test_threaded_probes_give_the_same_profile_as_one_thread(self, resumed, monkeypatch, threads):
-        # the clones share one recorded stream; switch threads often so a write to it would show
-        model, node_groups, group_set, eval_seqs, _, _ = resumed
-        monkeypatch.setenv("LORASHEAR_THREADS", "1")
-        one = analyze(model, group_set, node_groups, (0.25, 0.5), eval_seqs, 0.25)
-        monkeypatch.setenv("LORASHEAR_THREADS", threads)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = analyze(model, group_set, node_groups, (0.25, 0.5), eval_seqs, 0.25)
-        finally:
-            sys.setswitchinterval(interval)
-        assert one.to_json() == many.to_json()
-
 
 class TestAnalyze:
     def test_zero_fraction_flags_nothing(self, probed):
@@ -218,13 +202,6 @@ class TestAnalyze:
         a = analyze(model, group_set, node_groups, (0.25,), eval_seqs, 0.1)
         b = analyze(model, group_set, node_groups, (0.25,), eval_seqs, 0.1)
         assert a.to_json() == b.to_json()
-
-    def test_parallel_probing_matches_sequential(self, probed, monkeypatch):
-        model, _, node_groups, group_set, eval_seqs = probed
-        seq = analyze(model, group_set, node_groups, (0.25,), eval_seqs, 0.1)
-        monkeypatch.setenv("LORASHEAR_THREADS", "4")
-        par = analyze(model, group_set, node_groups, (0.25,), eval_seqs, 0.1)
-        assert seq.to_json() == par.to_json()
 
     def test_empty_eval_set_rejected(self, probed):
         model, _, node_groups, group_set, _ = probed
