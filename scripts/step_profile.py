@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Time and size one training step and one no-grad forward at a fixed shape.
+
+Usage: PYTHONPATH=src python scripts/step_profile.py {toy,wide,tiny} [--steps N] [--warmup N]
+
+Prints one JSON line per case: a LoRA-only ``train_step``, an all-trainable
+``train_step`` (both SGD) and a no-grad forward of the next-token loss. Each
+line gives the median wall time in ms over ``--steps`` calls after
+``--warmup`` untimed ones, and the tracemalloc peak in MiB of one further
+call, counted from the memory traced just before it. ``toy`` is the built-in
+model at 8x48 tokens; ``wide`` is perfbench's wide-run-all model (dim 128,
+8 heads, 256 MLP channels) at 4x96 tokens; ``tiny`` is a seconds-long smoke
+shape. Timings depend on the host and its BLAS; peaks do not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from lorashear.model import ModelConfig, build_model, next_token_loss
+from lorashear.optim import make_optimizer, train_step
+
+# name -> (model fields, batch size); sequences are block_size + 1 tokens
+SHAPES = {
+    "toy": (dict(vocab_size=64, dim=32, n_layers=2, n_heads=4, mlp_dim=64, lora_rank=4,
+                 block_size=48), 8),
+    "wide": (dict(vocab_size=64, dim=128, n_layers=2, n_heads=8, mlp_dim=256, lora_rank=8,
+                  block_size=96), 4),
+    "tiny": (dict(vocab_size=16, dim=8, n_layers=1, n_heads=2, mlp_dim=8, lora_rank=2,
+                  block_size=16), 2),
+}
+CASES = ("lora_step", "all_step", "nograd_forward")
+
+
+def _case_fn(model, case: str):
+    if case == "nograd_forward":
+        model.set_trainable("none")
+        return lambda batch: next_token_loss(model, batch)
+    model.set_trainable("lora" if case == "lora_step" else "all")
+    params = [t for t in model.parameters().values() if t.requires_grad]
+    opt = make_optimizer("sgd", params, 1e-3)
+    return lambda batch: train_step(model, batch, opt, where=case)
+
+
+def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
+    fields, batch_size = SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    batches = rng.integers(0, fields["vocab_size"], size=(warmup + steps + 1, batch_size,
+                                                          fields["block_size"] + 1))
+    rows = []
+    for case in CASES:
+        fn = _case_fn(build_model(ModelConfig(seed=seed, **fields)), case)
+        for batch in batches[:warmup]:
+            fn(batch)
+        times = []
+        for batch in batches[warmup:warmup + steps]:
+            start = time.perf_counter()
+            fn(batch)
+            times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            fn(batches[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows.append({"shape": shape, "case": case, "steps": steps,
+                     "median_ms": round(statistics.median(times) * 1e3, 3),
+                     "peak_mib": round(peak / 2**20, 3)})
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("shape", choices=sorted(SHAPES))
+    parser.add_argument("--steps", type=int, default=50)
+    parser.add_argument("--warmup", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.steps < 1 or args.warmup < 0:
+        parser.error("--steps must be >= 1 and --warmup >= 0")
+    for row in profile(args.shape, args.steps, args.warmup):
+        print(json.dumps(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .tensor import Tensor
 MAGIC = b"LSHR"
 VERSION = 1
 _DTYPE_F64 = 0
+_MAX_DIMS = 64  # the most dims a numpy array may have
 
 
 def model_meta(model: LoraModel, extra: dict | None = None) -> dict:
@@ -88,7 +90,7 @@ def save_checkpoint(model: LoraModel, path: str | Path, extra: dict | None = Non
         for d in shape:
             table += struct.pack("<I", d)
         table += struct.pack("<Q", offset)
-        offset += int(np.prod(shape)) * 8 if shape else 8
+        offset += math.prod(shape) * 8
 
     payloads = [params[name].data.astype("<f8").tobytes() for name in names]
     write_atomic(path, b"".join([header, table, *payloads]))
@@ -137,10 +139,11 @@ def _read_meta(r: _Reader) -> dict:
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Raw read: (meta, tensors). Validates magic, version, bounds, unique
-    tensor names, finite payloads, and the payload layout: each payload
-    starts where the table or the previous payload ends, and the last one
-    ends the file."""
+    """Raw read: (meta, tensors). Validates magic, version, at most 64 dims
+    per tensor, bounds (sizes are exact Python ints, so no product of dims
+    wraps), unique tensor names, finite payloads, and the payload layout:
+    each payload starts where the table or the previous payload ends, and
+    the last one ends the file."""
     blob = Path(path).read_bytes()
     r = _Reader(io.BytesIO(blob), path)
     meta = _read_meta(r)
@@ -156,13 +159,15 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if dtype != _DTYPE_F64:
             raise FormatError(f"{path}: unknown dtype code {dtype} for tensor {name}")
         shape = tuple(r.u32() for _ in range(r.u8()))
+        if len(shape) > _MAX_DIMS:
+            raise FormatError(f"{path}: tensor {name} has {len(shape)} dims, more than {_MAX_DIMS}")
         offset = r.u64()
         if name in entries:
             raise FormatError(f"{path}: duplicate tensor {name}")
         entries[name] = (shape, offset)
     expected = r.f.tell()
     for name, (shape, offset) in entries.items():
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
+        nbytes = math.prod(shape) * 8
         if offset != expected:
             raise FormatError(f"{path}: payload for tensor {name} starts at byte {offset}, not {expected}")
         if offset + nbytes > len(blob):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .artifacts import canonical_json, write_json
 from .errors import ConfigError
+from .model import SIZE_FIELDS
 
 
 @dataclass
@@ -144,6 +145,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 def _validate(cfg: PipelineConfig) -> None:
     m = cfg.model
+    for name in SIZE_FIELDS:
+        if getattr(m, name) < 1:
+            raise ConfigError(f"config.model.{name}: must be >= 1, got {getattr(m, name)}")
     if m.dim % m.n_heads != 0:
         raise ConfigError(f"config.model.dim: {m.dim} not divisible by n_heads {m.n_heads}")
     if cfg.data.seq_len > m.block_size:

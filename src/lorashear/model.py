@@ -30,6 +30,10 @@ from .errors import ConfigError, InputError
 from .tensor import Tensor
 
 
+# the config fields that count something a model must have at least one of
+SIZE_FIELDS = ("vocab_size", "dim", "n_layers", "n_heads", "mlp_dim", "block_size")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -43,6 +47,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in SIZE_FIELDS:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.n_heads != 0:
             raise ConfigError(
                 f"model.dim {self.dim} not divisible by model.n_heads {self.n_heads}"

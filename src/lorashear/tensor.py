@@ -7,6 +7,11 @@ what the ops below define internally.
 
 Ops record onto the innermost active ``Tape`` only when the result requires
 grad; evaluation without a tape is plain numpy and allocates nothing extra.
+``Tape.backward`` consumes the tape: it pops each op before running its
+backward rule, so the activations and intermediate gradients that only that
+op's closure held are freed while the pass goes on, and a step never holds
+all of them at once. An intermediate tensor the caller still references
+keeps its ``.grad``.
 
 Importing the module keeps freed tensor memory in the process. glibc's
 malloc starts out giving every array above 128 KiB its own mmap and
@@ -104,12 +109,11 @@ class TapeOp:
     input_ids: tuple[int, ...]
     output_id: int
     backward: Callable[[], None]
-    tensors: tuple["Tensor", ...] = ()
 
 
 @dataclass
 class Tape:
-    """Ordered record of operations; replayable in reverse for gradients.
+    """Ordered record of operations, consumed in reverse for gradients.
 
     Ops append in execution order, so every op's inputs were recorded (or
     existed as leaves) before it; reverse iteration is a valid topological
@@ -117,7 +121,6 @@ class Tape:
     """
 
     ops: list[TapeOp] = field(default_factory=list)
-    _consumed: bool = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -133,31 +136,22 @@ class Tape:
         """Accumulate gradients of ``loss`` into every reachable tensor.
 
         Gradients add across fan-out; the caller clears them between steps.
-        Calling twice without ``reset`` raises.
+        The tape is consumed: each op is popped before its backward runs, so
+        whatever only its closure referenced (its activations, and its
+        output with that output's gradient) is freed as the pass goes on.
+        Intermediates the caller still holds keep their gradients. The tape
+        is empty afterwards, and a second call raises.
         """
-        if self._consumed:
-            raise TapeStateError("backward called twice without reset")
         if not self.ops:
-            raise TapeStateError("backward on an empty tape")
+            raise TapeStateError("backward on an empty tape (never recorded, or already consumed)")
         if loss.data.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
             raise TapeStateError("loss does not require grad; nothing to differentiate")
         loss.accumulate_grad(np.ones_like(loss.data))
-        for op in reversed(self.ops):
-            op.backward()
-        self._consumed = True
-
-    def reset(self) -> None:
-        """Allow the recorded tape to be replayed by another backward call.
-
-        Clears the gradient of every tensor the tape touched (leaves and
-        intermediates alike) so the replay accumulates from scratch.
-        """
-        for op in self.ops:
-            for t in op.tensors:
-                t.zero_grad()
-        self._consumed = False
+        ops = self.ops
+        while ops:
+            ops.pop().backward()
 
 
 _TAPES: list[Tape] = []  # entered tapes, innermost last
@@ -176,9 +170,7 @@ def _check_finite(op: str, *tensors: Tensor) -> None:
 def _record(name: str, inputs: Sequence[Tensor], out: Tensor, backward: Callable[[], None]) -> Tensor:
     tape = active_tape()
     if tape is not None and out.requires_grad:
-        tape.record(
-            TapeOp(name, tuple(id(t) for t in inputs), id(out), backward, (*inputs, out))
-        )
+        tape.record(TapeOp(name, tuple(id(t) for t in inputs), id(out), backward))
     return out
 
 

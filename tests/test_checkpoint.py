@@ -1,13 +1,19 @@
 import json
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lorashear.checkpoint import checkpoint_extra, load_checkpoint, read_checkpoint, save_checkpoint
 from lorashear.errors import FormatError
+from lorashear.model import LoraModel, ModelConfig, build_model
 from lorashear.util import model_hash
+
+from conftest import TINY
 
 
 def test_round_trip_is_bit_identical(toy_model, tmp_path):
@@ -260,3 +266,73 @@ def test_payloads_out_of_layout_are_a_format_error(toy_model, tmp_path, edit, te
         named += f"payload for tensor {re.escape(sorted(toy_model.parameters())[tensor])} "
     with pytest.raises(FormatError, match=named + message):
         load_checkpoint(path)
+
+
+def write_dims(path, dims, payload: bytes):
+    """A one-tensor checkpoint (empty meta) whose table entry claims ``dims``."""
+    head = b"LSHR" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<I", 1)
+    entry = struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, len(dims))
+    entry += struct.pack(f"<{len(dims)}I", *dims)
+    path.write_bytes(head + entry + struct.pack("<Q", len(head) + len(entry) + 8) + payload)
+    return path
+
+
+@pytest.mark.parametrize("dims,payload,message", [
+    ((1,) * 65, b"\0" * 8, "tensor w has 65 dims, more than 64"),
+    ((2**31, 2**31, 2**31, 4), b"", "payload for tensor w out of bounds"),  # np.prod wraps to 0
+], ids=["65-dims", "size-past-int64"])
+def test_shape_numpy_cannot_hold_is_a_format_error(tmp_path, dims, payload, message):
+    path = write_dims(tmp_path / "m.lshr", dims, payload)
+    for read in (read_checkpoint, load_checkpoint):
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
+            read(path)
+
+
+def _tiny_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.lshr"
+        save_checkpoint(build_model(ModelConfig(seed=5, **TINY)), path)
+        return path.read_bytes()
+
+
+BLOB = _tiny_blob()
+# the digit of the config's n_heads (the block metadata sorts first and has its own)
+CONFIG_N_HEADS = BLOB.index(b'"n_heads":', BLOB.index(b'"config":')) + len(b'"n_heads":')
+
+
+@pytest.fixture(scope="module")
+def mutated(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "m.lshr"
+
+
+def load_or_named_format_error(path) -> bool:
+    """True if ``path`` loads; False if it raises a FormatError naming the file."""
+    try:
+        assert isinstance(load_checkpoint(path), LoraModel)
+    except FormatError as e:
+        assert str(path) in str(e)
+        return False
+    return True
+
+
+class TestByteMutations:
+    @settings(max_examples=300)
+    @given(st.integers(0, len(BLOB) - 1), st.integers(0, 255))
+    @example(CONFIG_N_HEADS, ord("0"))
+    def test_any_byte_replacement_loads_or_is_a_format_error(self, mutated, pos, byte):
+        mutated.write_bytes(BLOB[:pos] + bytes([byte]) + BLOB[pos + 1:])
+        load_or_named_format_error(mutated)
+
+    @given(st.integers(0, len(BLOB) - 1))
+    def test_every_truncation_is_a_format_error(self, mutated, keep):
+        mutated.write_bytes(BLOB[:keep])
+        assert not load_or_named_format_error(mutated)
+
+    @given(st.binary(min_size=1, max_size=16))
+    def test_every_append_is_a_format_error(self, mutated, tail):
+        mutated.write_bytes(BLOB + tail)
+        assert not load_or_named_format_error(mutated)
+
+    def test_unmutated_blob_loads(self, mutated):
+        mutated.write_bytes(BLOB)
+        assert load_or_named_format_error(mutated)

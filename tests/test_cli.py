@@ -82,6 +82,16 @@ class TestExitCodes:
         bad.write_text('{"lhspg": {"pruning_ratio": 0.0}}')
         assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"]) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("vocab_size", 0), ("dim", 0), ("n_layers", 0), ("n_heads", 0), ("mlp_dim", 0),
+        ("block_size", 0), ("n_heads", -2), ("mlp_dim", -4),
+    ])
+    def test_model_size_below_one_is_exit_2(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": {field: value}}))
+        assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"]) == 2
+        assert f"config.model.{field}: must be >= 1" in capsys.readouterr().err
+
     def test_missing_artifact_is_exit_3(self, micro_cfg_file, tmp_path):
         rc = main(["--config", str(micro_cfg_file), "--out", str(tmp_path / "empty"), "prune"])
         assert rc == 3
@@ -298,6 +308,30 @@ class TestDumps:
         assert main([command, "dump", "--checkpoint", str(ckpt), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"{command} dump: checkpoint" in err and str(ckpt) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case,message", [
+        ("65-dims", "tensor w has 65 dims, more than 64"),
+        ("size-past-int64", "payload for tensor w out of bounds"),
+        ("config-n-heads-0", "invalid config meta"),
+    ])
+    def test_dump_of_an_unloadable_checkpoint_is_exit_3(
+        self, finished_run, tmp_path, capsys, case, message
+    ):
+        from test_checkpoint import write_dims
+
+        ckpt = tmp_path / "bad.lshr"
+        if case == "65-dims":
+            write_dims(ckpt, (1,) * 65, b"\0" * 8)
+        elif case == "size-past-int64":
+            write_dims(ckpt, (2**31, 2**31, 2**31, 4), b"")
+        else:  # one byte: the config's n_heads 2 -> 0 (block metadata sorts first)
+            blob = (finished_run / "model_full.lshr").read_bytes()
+            at = blob.index(b'"n_heads":2', blob.index(b'"config":')) + len(b'"n_heads":')
+            ckpt.write_bytes(blob[:at] + b"0" + blob[at + 1:])
+        out = tmp_path / "dump.json"
+        assert main(["graph", "dump", "--checkpoint", str(ckpt), "--output", str(out)]) == 3
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_groups_dump_is_compact_json(self, finished_run, tmp_path):
