@@ -6,8 +6,10 @@ Usage: PYTHONPATH=src python scripts/step_profile.py {toy,wide,tiny} [--steps N]
 Prints one JSON line per case: a LoRA-only ``train_step``, an all-trainable
 ``train_step`` (both SGD) and a no-grad forward of the next-token loss. Each
 line gives the median wall time in ms over ``--steps`` calls after
-``--warmup`` untimed ones, and the tracemalloc peak in MiB of one further
-call, counted from the memory traced just before it. ``toy`` is the built-in
+``--warmup`` untimed ones, the tracemalloc peak in MiB of one further
+call, counted from the memory traced just before it, and ``saved_mib``: the
+traced MiB a forward of the same batch on a ``Tape`` still holds before
+backward, which is what the recorded backward rules keep. ``toy`` is the built-in
 model at 8x48 tokens; ``wide`` is perfbench's wide-run-all model (dim 128,
 8 heads, 256 MLP channels) at 4x96 tokens; ``tiny`` is a seconds-long smoke
 shape. Timings depend on the host and its BLAS; peaks do not.
@@ -26,6 +28,7 @@ import numpy as np
 
 from lorashear.model import ModelConfig, build_model, next_token_loss
 from lorashear.optim import make_optimizer, train_step
+from lorashear.tensor import Tape
 
 # name -> (model fields, batch size); sequences are block_size + 1 tokens
 SHAPES = {
@@ -49,6 +52,17 @@ def _case_fn(model, case: str):
     return lambda batch: train_step(model, batch, opt, where=case)
 
 
+def saved_bytes(model, batch) -> int:
+    """Traced bytes a forward on a tape holds until backward, the loss included."""
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = next_token_loss(model, batch)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
     fields, batch_size = SHAPES[shape]
     rng = np.random.default_rng(seed)
@@ -56,7 +70,8 @@ def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
                                                           fields["block_size"] + 1))
     rows = []
     for case in CASES:
-        fn = _case_fn(build_model(ModelConfig(seed=seed, **fields)), case)
+        model = build_model(ModelConfig(seed=seed, **fields))
+        fn = _case_fn(model, case)
         for batch in batches[:warmup]:
             fn(batch)
         times = []
@@ -72,7 +87,8 @@ def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
             tracemalloc.stop()
         rows.append({"shape": shape, "case": case, "steps": steps,
                      "median_ms": round(statistics.median(times) * 1e3, 3),
-                     "peak_mib": round(peak / 2**20, 3)})
+                     "peak_mib": round(peak / 2**20, 3),
+                     "saved_mib": round(saved_bytes(model, batches[-1]) / 2**20, 3)})
     return rows
 
 

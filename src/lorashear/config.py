@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -108,16 +109,29 @@ _SECTIONS = {
 }
 
 
+def _finite(path: str, value):
+    """``value``, unless it is a float JSON gave as NaN or an infinity (1e999 too)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number, got {value}")
+    return value
+
+
 def _coerce(path: str, value, expected):
     if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past float range
+            value = math.inf
+        return _finite(path, value)
     if expected is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            _finite(f"{path}[{i}]", item)
         return value
     if not isinstance(value, expected) or isinstance(value, bool) and expected is not bool:
         raise ConfigError(f"{path}: expected {expected.__name__}, got {type(value).__name__}")
-    return value
+    return _finite(path, value)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:

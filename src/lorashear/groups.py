@@ -386,19 +386,25 @@ def _index(s: Slice) -> tuple:
     return (idx, slice(None)) if s.axis == 0 else (slice(None), idx)
 
 
-def _zero_slices(model: LoraModel, slices: tuple[Slice, ...]) -> None:
-    params = model.parameters()
+def _zero_slices(params: dict[str, Tensor], slices: tuple[Slice, ...]) -> None:
     for s in slices:
         params[s.param].data[_index(s)] = 0.0
 
 
-def zero_structure(model: LoraModel, group: StructureGroup) -> None:
-    """Zero every slice of the group (host rows/cols plus matching LoRA slices)."""
-    _zero_slices(model, group.slices)
+def zero_structure(
+    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
+) -> None:
+    """Zero every slice of the group (host rows/cols plus matching LoRA slices).
+
+    ``params`` is ``model.parameters()``, for callers that visit many groups.
+    """
+    _zero_slices(model.parameters() if params is None else params, group.slices)
 
 
-def zero_lora_slices(model: LoraModel, group: StructureGroup) -> None:
-    _zero_slices(model, group.lora_slices())
+def zero_lora_slices(
+    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
+) -> None:
+    _zero_slices(model.parameters() if params is None else params, group.lora_slices())
 
 
 def frozen_slice_vector(
@@ -437,9 +443,15 @@ def effective_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarra
     return np.concatenate(parts)
 
 
-def write_frozen_slices(model: LoraModel, group: StructureGroup, vector: np.ndarray) -> None:
+def write_frozen_slices(
+    model: LoraModel,
+    group: StructureGroup,
+    vector: np.ndarray,
+    params: dict[str, Tensor] | None = None,
+) -> None:
     """Scatter a flat vector back into the group's host slices (slice order)."""
-    params = model.parameters()
+    if params is None:
+        params = model.parameters()
     pos = 0
     for s in group.host_slices():
         arr = params[s.param].data

@@ -43,6 +43,7 @@ from .groups import (
 from .model import LoraModel
 from .optim import lora_optimizer, lr_at, train_step
 from .saliency import SaliencyFn, get_saliency
+from .tensor import Tensor
 
 
 @dataclass
@@ -133,21 +134,25 @@ def halfspace_project(
     group: StructureGroup,
     penalty: float,
     eps: float,
+    params: dict[str, Tensor] | None = None,
 ) -> bool:
     """One projection step on a redundant group's frozen slices.
 
     Returns True when the group was projected to exactly zero this call.
     A group whose frozen slice is already zero is treated as projected.
+    ``params`` is ``model.parameters()``, for callers that visit many groups.
     """
-    x = frozen_slice_vector(model, group)
+    if params is None:
+        params = model.parameters()
+    x = frozen_slice_vector(model, group, params)
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return False
     trial = effective_slice_vector(model, group) - penalty * x / norm
     if float(trial @ x) < eps * norm * norm:
-        write_frozen_slices(model, group, np.zeros_like(trial))
+        write_frozen_slices(model, group, np.zeros_like(trial), params)
         return True
-    write_frozen_slices(model, group, trial)
+    write_frozen_slices(model, group, trial, params)
     return False
 
 
@@ -168,30 +173,31 @@ def lhspg_step(
     """
     value = train_step(model, batch, opt, lr, where="lhspg")
 
+    params = model.parameters()
     current = set(state.current)
     # earlier periods' groups: the gradient step transiently revived their LoRA
     # slices; kill them before anything can flow through
     for gid in state.redundant:
         if gid not in current:
-            zero_lora_slices(model, group_set.by_id[gid])
+            zero_lora_slices(model, group_set.by_id[gid], params)
 
     projected = []
     for gid in state.current:
         group = group_set.by_id[gid]
-        if halfspace_project(model, group, state.penalty[gid], config.halfspace_eps):
+        if halfspace_project(model, group, state.penalty[gid], config.halfspace_eps, params):
             projected.append(gid)
     if final_step_of_period:
         # the penalty schedule lands the norm at epsilon scale by now; snap the
         # survivors so the zero-group cardinality is exact
         for gid in state.current:
             group = group_set.by_id[gid]
-            if not group_is_zero(model, group):
+            if not group_is_zero(model, group, params):
                 write_frozen_slices(
-                    model, group, np.zeros(frozen_slice_vector(model, group).size)
+                    model, group, np.zeros(frozen_slice_vector(model, group, params).size), params
                 )
                 projected.append(gid)
     for gid in state.current:
-        zero_lora_slices(model, group_set.by_id[gid])
+        zero_lora_slices(model, group_set.by_id[gid], params)
     return value, projected
 
 

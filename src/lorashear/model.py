@@ -58,8 +58,12 @@ class ModelConfig:
             raise ConfigError("model.lora_rank must be >= 0")
         if self.lora_rank >= self.dim:
             raise ConfigError("model.lora_rank must be < model.dim")
-        if self.lora_gamma <= 0:
-            raise ConfigError("model.lora_gamma must be positive")
+        try:
+            finite = math.isfinite(self.lora_gamma)
+        except OverflowError:  # an integer past float range
+            finite = False
+        if not (finite and self.lora_gamma > 0):
+            raise ConfigError("model.lora_gamma must be positive and finite")
 
     @property
     def head_dim(self) -> int:

@@ -7,11 +7,16 @@ what the ops below define internally.
 
 Ops record onto the innermost active ``Tape`` only when the result requires
 grad; evaluation without a tape is plain numpy and allocates nothing extra.
+A tensor's gradient lives in a small ``Grad`` cell of its own, and a recorded
+backward closure may hold only two kinds of thing: the gradient cells of its
+output and of the inputs that require grad, and the arrays its own rule
+reads (``probs`` for softmax, ``sig`` and ``x`` for silu, never the scores
+or a projection's output). It never holds a whole ``Tensor``, so add, scale,
+reshape, transpose and embedding lookup pin no activation at all.
 ``Tape.backward`` consumes the tape: it pops each op before running its
-backward rule, so the activations and intermediate gradients that only that
-op's closure held are freed while the pass goes on, and a step never holds
-all of them at once. An intermediate tensor the caller still references
-keeps its ``.grad``.
+backward rule, so what only that op's closure held is freed while the pass
+goes on, and a step never holds all of it at once. An intermediate tensor
+the caller still references keeps its ``.grad``.
 
 Importing the module keeps freed tensor memory in the process. glibc's
 malloc starts out giving every array above 128 KiB its own mmap and
@@ -61,32 +66,70 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-class Tensor:
-    """A contiguous row-major float64 array with an optional gradient buffer."""
+class Grad:
+    """A tensor's gradient, kept apart from its data.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    Backward rules hold these cells, never whole tensors, so recording an op
+    pins no activation its rule does not read. ``shape`` is the owner's data
+    shape when the cell was last handed out; it is refreshed each time, so a
+    parameter whose array is replaced (compression, loading) takes gradients
+    of its new shape.
+    """
+
+    __slots__ = ("shape", "grad")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.grad: Optional[np.ndarray] = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if g.shape != self.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for tensor of shape {self.shape}")
+        if self.grad is None:
+            # bitwise equal to zeros + g (-0.0 becomes +0.0); a fresh C-ordered
+            # buffer keeps later BLAS calls on the gradient summing in one order
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape))
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A contiguous row-major float64 array with an optional gradient cell.
+
+    The cell is made on first need (a recorded op, ``accumulate_grad``), so
+    tensors of a no-grad forward never get one.
+    """
+
+    __slots__ = ("data", "requires_grad", "_cell")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self._cell: Optional[Grad] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._cell is None else self._cell.grad
+
+    def _grad_cell(self) -> Grad:
+        """This tensor's gradient cell, made on first call, shaped like ``data`` now."""
+        cell = self._cell
+        if cell is None:
+            cell = self._cell = Grad(self.data.shape)
+        else:
+            cell.shape = self.data.shape
+        return cell
+
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._cell is not None:
+            self._cell.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeError(f"gradient of shape {g.shape} for tensor of shape {self.shape}")
-        if self.grad is None:
-            # bitwise equal to zeros + g (-0.0 becomes +0.0); a fresh C-ordered
-            # buffer keeps later BLAS calls on the gradient summing in one order
-            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
-        else:
-            self.grad += g
+        self._grad_cell().accumulate(g)
 
     def copy(self) -> "Tensor":
         t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
@@ -137,8 +180,8 @@ class Tape:
 
         Gradients add across fan-out; the caller clears them between steps.
         The tape is consumed: each op is popped before its backward runs, so
-        whatever only its closure referenced (its activations, and its
-        output with that output's gradient) is freed as the pass goes on.
+        whatever only its closure referenced (the arrays its rule reads,
+        and its output's gradient cell) is freed as the pass goes on.
         Intermediates the caller still holds keep their gradients. The tape
         is empty afterwards, and a second call raises.
         """
@@ -167,9 +210,26 @@ def _check_finite(op: str, *tensors: Tensor) -> None:
             raise NumericError(f"{op}: non-finite values in input")
 
 
-def _record(name: str, inputs: Sequence[Tensor], out: Tensor, backward: Callable[[], None]) -> Tensor:
+def _record(
+    name: str, inputs: Sequence[Tensor], out: Tensor, rule: Callable[..., None]
+) -> Tensor:
+    """Put ``out``'s op on the innermost tape when there is one and ``out`` requires grad.
+
+    ``rule(g, *cells)`` gets ``out``'s gradient and one ``Grad`` per input,
+    None for an input that does not require grad. Cells are made here, so a
+    no-grad forward allocates none, and the recorded closure holds the cells
+    and ``rule`` only: never ``out`` or an input tensor.
+    """
     tape = active_tape()
     if tape is not None and out.requires_grad:
+        out_cell = out._grad_cell()
+        cells = tuple(t._grad_cell() if t.requires_grad else None for t in inputs)
+
+        def backward():
+            g = out_cell.grad
+            if g is not None:
+                rule(g, *cells)
+
         tape.record(TapeOp(name, tuple(id(t) for t in inputs), id(out), backward))
     return out
 
@@ -184,16 +244,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_finite("add", a, b)
     out = Tensor(a.data + b.data, requires_grad=_needs(a, b))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
+    def rule(g, ca, cb):
+        if ca is not None:
+            ca.accumulate(g)
+        if cb is not None:
+            cb.accumulate(g)
 
-    return _record("add", (a, b), out, backward)
+    return _record("add", (a, b), out, rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -201,17 +258,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
     _check_finite("mul", a, b)
     out = Tensor(a.data * b.data, requires_grad=_needs(a, b))
+    a_kept = a.data if b.requires_grad else None
+    b_kept = b.data if a.requires_grad else None
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
+    def rule(g, ca, cb):
+        if ca is not None:
+            ca.accumulate(g * b_kept)
+        if cb is not None:
+            cb.accumulate(g * a_kept)
 
-    return _record("mul", (a, b), out, backward)
+    return _record("mul", (a, b), out, rule)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -220,14 +276,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c, requires_grad=a.requires_grad)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
+    def rule(g, ca):
+        ca.accumulate(g * c)
 
-    return _record("scale", (a,), out, backward)
+    return _record("scale", (a,), out, rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -238,17 +290,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     _check_finite("matmul", a, b)
     out = Tensor(a.data @ b.data, requires_grad=_needs(a, b))
+    a_kept = a.data if b.requires_grad else None
+    b_kept = b.data if a.requires_grad else None
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            b.accumulate_grad(a.data.swapaxes(-1, -2) @ g)
+    def rule(g, ca, cb):
+        if ca is not None:
+            ca.accumulate(g @ b_kept.swapaxes(-1, -2))
+        if cb is not None:
+            cb.accumulate(a_kept.swapaxes(-1, -2) @ g)
 
-    return _record("matmul", (a, b), out, backward)
+    return _record("matmul", (a, b), out, rule)
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
@@ -258,20 +309,17 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
     _check_finite("linear", x, w)
-    out = Tensor(x.data @ w.data.T, requires_grad=_needs(x, w))
+    wd = w.data
+    out = Tensor(x.data @ wd.T, requires_grad=_needs(x, w))
+    x2 = x.data.reshape(-1, wd.shape[1]) if w.requires_grad else None
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
-        if w.requires_grad:
-            g2 = g.reshape(-1, w.shape[0])
-            x2 = x.data.reshape(-1, w.shape[1])
-            w.accumulate_grad(g2.T @ x2)
+    def rule(g, cx, cw):
+        if cx is not None:
+            cx.accumulate(g @ wd)
+        if cw is not None:
+            cw.accumulate(g.reshape(-1, g.shape[-1]).T @ x2)
 
-    return _record("linear", (x, w), out, backward)
+    return _record("linear", (x, w), out, rule)
 
 
 def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Tensor:
@@ -297,29 +345,29 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
         # LoraLinear.merge_lora does, then one matmul; never cached, since
         # callers mutate weights in place between reads
         return Tensor(x.data @ (w.data + gamma * (b.data @ a.data)).T)
-    low = x.data @ a.data.T
-    out = Tensor(x.data @ w.data.T + (low @ b.data.T) * gamma, requires_grad=True)
+    wd, ad, bd = w.data, a.data, b.data
+    low = x.data @ ad.T
+    out = Tensor(x.data @ wd.T + (low @ bd.T) * gamma, requires_grad=True)
+    # the activations are kept only for the gradients that read them
+    x2 = x.data.reshape(-1, wd.shape[1]) if w.requires_grad or a.requires_grad else None
+    low2 = low.reshape(-1, ad.shape[0]) if b.requires_grad else None
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        x2 = x.data.reshape(-1, w.shape[1])
+    def rule(g, cx, cw, ca, cb):
         g_low_out = g * gamma
-        if b.requires_grad:
-            b.accumulate_grad(g_low_out.reshape(-1, b.shape[0]).T @ low.reshape(-1, b.shape[1]))
-        if x.requires_grad or a.requires_grad:
-            g_low = g_low_out @ b.data
-            if x.requires_grad:
-                x.accumulate_grad(g_low @ a.data)
-            if a.requires_grad:
-                a.accumulate_grad(g_low.reshape(-1, a.shape[0]).T @ x2)
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
-        if w.requires_grad:
-            w.accumulate_grad(g.reshape(-1, w.shape[0]).T @ x2)
+        if cb is not None:
+            cb.accumulate(g_low_out.reshape(-1, bd.shape[0]).T @ low2)
+        if cx is not None or ca is not None:
+            g_low = g_low_out @ bd
+            if cx is not None:
+                cx.accumulate(g_low @ ad)
+            if ca is not None:
+                ca.accumulate(g_low.reshape(-1, ad.shape[0]).T @ x2)
+        if cx is not None:
+            cx.accumulate(g @ wd)
+        if cw is not None:
+            cw.accumulate(g.reshape(-1, wd.shape[0]).T @ x2)
 
-    return _record("lora_linear", (x, w, a, b), out, backward)
+    return _record("lora_linear", (x, w, a, b), out, rule)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -336,41 +384,38 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     _check_finite("embedding_lookup", table)
     out = Tensor(table.data[ids], requires_grad=table.requires_grad)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+    def rule(g, ct):
+        if ct.grad is None:
+            ct.grad = np.zeros(ct.shape)
+        np.add.at(ct.grad, ids.reshape(-1), g.reshape(-1, ct.shape[1]))
 
-    return _record("embedding_lookup", (table,), out, backward)
+    return _record("embedding_lookup", (table,), out, rule)
 
 
 def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    """x / rms(x) * gain over the last axis, rms = sqrt(mean(x^2) + eps)."""
+    """x / rms(x) * gain over the last axis, rms = sqrt(mean(x^2) + eps).
+
+    Backward keeps ``x`` and ``inv_rms``, not the normalised activations: the
+    gain gradient recomputes ``x * inv_rms``, the forward's own expression.
+    """
     if gain.data.ndim != 1 or gain.shape[0] != x.shape[-1]:
         raise ShapeError(f"rmsnorm: gain {gain.shape} does not match input {x.shape}")
     _check_finite("rmsnorm", x, gain)
-    dim = x.shape[-1]
-    mean_sq = np.mean(x.data**2, axis=-1, keepdims=True)
+    xd, gd = x.data, gain.data
+    dim = xd.shape[-1]
+    mean_sq = np.mean(xd**2, axis=-1, keepdims=True)
     inv_rms = 1.0 / np.sqrt(mean_sq + _RMSNORM_EPS)
-    normed = x.data * inv_rms
-    out = Tensor(normed * gain.data, requires_grad=_needs(x, gain))
+    out = Tensor(xd * inv_rms * gd, requires_grad=_needs(x, gain))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            gg = g * gain.data
-            inner = np.sum(gg * x.data, axis=-1, keepdims=True)
-            x.accumulate_grad(gg * inv_rms - x.data * inner * inv_rms**3 / dim)
-        if gain.requires_grad:
-            gain.accumulate_grad(np.sum(g * normed, axis=tuple(range(g.ndim - 1))))
+    def rule(g, cx, cg):
+        if cx is not None:
+            gg = g * gd
+            inner = np.sum(gg * xd, axis=-1, keepdims=True)
+            cx.accumulate(gg * inv_rms - xd * inner * inv_rms**3 / dim)
+        if cg is not None:
+            cg.accumulate(np.sum(g * (xd * inv_rms), axis=tuple(range(g.ndim - 1))))
 
-    return _record("rmsnorm", (x, gain), out, backward)
+    return _record("rmsnorm", (x, gain), out, rule)
 
 
 @functools.lru_cache(maxsize=8)
@@ -390,7 +435,7 @@ def softmax(x: Tensor, causal: bool = False) -> Tensor:
     see only the kept entries, and the masked ones are then set to exactly
     +0.0. That is bitwise the result of exponentiating -inf there, but exp
     never takes its slow path for infinities, and no masked value can
-    overflow.
+    overflow. Backward keeps the probabilities, not the scores.
     """
     _check_finite("softmax", x)
     probs = np.empty_like(x.data)
@@ -408,31 +453,24 @@ def softmax(x: Tensor, causal: bool = False) -> Tensor:
     probs /= probs.sum(axis=-1, keepdims=True)
     out = Tensor(probs, requires_grad=x.requires_grad)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            inner = np.sum(g * probs, axis=-1, keepdims=True)
-            x.accumulate_grad(probs * (g - inner))
+    def rule(g, cx):
+        inner = np.sum(g * probs, axis=-1, keepdims=True)
+        cx.accumulate(probs * (g - inner))
 
-    return _record("softmax", (x,), out, backward)
+    return _record("softmax", (x,), out, rule)
 
 
 def silu(x: Tensor) -> Tensor:
     _check_finite("silu", x)
+    xd = x.data
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * sig, requires_grad=x.requires_grad)
+        sig = 1.0 / (1.0 + np.exp(-xd))
+    out = Tensor(xd * sig, requires_grad=x.requires_grad)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
+    def rule(g, cx):
+        cx.accumulate(g * sig * (1.0 + xd * (1.0 - sig)))
 
-    return _record("silu", (x,), out, backward)
+    return _record("silu", (x,), out, rule)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -440,14 +478,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
+    def rule(g, cx):
+        cx.accumulate(g.reshape(cx.shape))
 
-    return _record("reshape", (x,), out, backward)
+    return _record("reshape", (x,), out, rule)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -456,14 +490,10 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.transpose(axes), requires_grad=x.requires_grad)
     inverse = tuple(np.argsort(axes))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            x.accumulate_grad(g.transpose(inverse))
+    def rule(g, cx):
+        cx.accumulate(g.transpose(inverse))
 
-    return _record("transpose", (x,), out, backward)
+    return _record("transpose", (x,), out, rule)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -483,15 +513,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     nll = lse - picked
     count = max(targets.size, 1)
     out = Tensor(nll.sum() / count, requires_grad=logits.requires_grad)
+    ld = logits.data
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if logits.requires_grad:
-            probs = np.exp(logits.data - lse)
-            onehot = np.zeros_like(probs)
-            np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-            logits.accumulate_grad((probs - onehot) * (float(g.reshape(())) / count))
+    def rule(g, cl):
+        probs = np.exp(ld - lse)
+        onehot = np.zeros_like(probs)
+        np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
+        cl.accumulate((probs - onehot) * (float(g.reshape(())) / count))
 
-    return _record("cross_entropy", (logits,), out, backward)
+    return _record("cross_entropy", (logits,), out, rule)

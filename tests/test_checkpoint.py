@@ -144,6 +144,17 @@ def test_bad_meta_is_a_format_error_naming_the_file(toy_model, tmp_path, mutate,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 10**400, 0.0])
+def test_lora_gamma_not_positive_and_finite_is_a_format_error(toy_model, tmp_path, gamma):
+    from lorashear.checkpoint import model_meta
+
+    meta = model_meta(toy_model)
+    meta["config"]["lora_gamma"] = gamma
+    path = with_meta(meta, tmp_path / "m.lshr")
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: invalid config meta: .*lora_gamma"):
+        load_checkpoint(path)
+
+
 def write_raw(path, meta: dict, named: list[tuple[str, np.ndarray]]):
     """A checkpoint holding ``named`` in the given order, duplicates included."""
     raw = json.dumps(meta).encode()

@@ -92,6 +92,18 @@ class TestExitCodes:
         assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"]) == 2
         assert f"config.model.{field}: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,path", [
+        ('{"model": {"lora_gamma": NaN}}', "config.model.lora_gamma"),
+        ('{"model": {"lora_gamma": 1e999}}', "config.model.lora_gamma"),
+        ('{"pretrain": {"learning_rate": Infinity}}', "config.pretrain.learning_rate"),
+        ('{"analysis": {"ratios": [0.25, NaN]}}', "config.analysis.ratios[1]"),
+    ])
+    def test_non_finite_float_is_exit_2(self, tmp_path, capsys, text, path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"]) == 2
+        assert f"{path}: must be a finite number" in capsys.readouterr().err
+
     def test_missing_artifact_is_exit_3(self, micro_cfg_file, tmp_path):
         rc = main(["--config", str(micro_cfg_file), "--out", str(tmp_path / "empty"), "prune"])
         assert rc == 3

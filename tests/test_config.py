@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -76,3 +77,16 @@ def test_partial_override_keeps_other_defaults():
     assert cfg.lhspg.periods == 2
     assert cfg.lhspg.steps_per_period == PipelineConfig().lhspg.steps_per_period
     assert cfg.seed == 9
+
+
+@pytest.mark.parametrize("raw,path", [
+    ({"model": {"lora_gamma": math.nan}}, r"config\.model\.lora_gamma"),
+    ({"model": {"lora_gamma": math.inf}}, r"config\.model\.lora_gamma"),
+    ({"pretrain": {"learning_rate": -math.inf}}, r"config\.pretrain\.learning_rate"),
+    ({"recovery": {"tol": math.nan}}, r"config\.recovery\.tol"),
+    ({"analysis": {"ratios": [math.nan]}}, r"config\.analysis\.ratios\[0\]"),
+    ({"lhspg": {"learning_rate": 10**400}}, r"config\.lhspg\.learning_rate"),
+])
+def test_non_finite_float_names_the_path(raw, path):
+    with pytest.raises(ConfigError, match=f"^{path}: must be a finite number"):
+        config_from_dict(raw)

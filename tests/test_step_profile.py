@@ -20,3 +20,4 @@ def test_prints_one_json_line_per_case(capsys):
     for row in rows:
         assert row["shape"] == "tiny" and row["steps"] == 2
         assert row["median_ms"] > 0 and row["peak_mib"] > 0
+        assert 0 <= row["saved_mib"] <= row["peak_mib"]

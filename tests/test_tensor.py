@@ -2,6 +2,7 @@ import ctypes
 import math
 import tracemalloc
 import weakref
+from collections import defaultdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -490,6 +491,76 @@ class TestProperties:
             seen.add(op.output_id)
 
 
+class TestSavedForBackward:
+    def test_block_forward_pins_only_what_backward_reads(self, tiny_config, monkeypatch):
+        from lorashear.model import build_model, next_token_loss
+
+        made = defaultdict(list)  # op name -> weakrefs to its outputs' arrays, in call order
+        for name in ("lora_linear", "transpose", "matmul", "softmax"):
+            def spy(*args, _op=getattr(T, name), _name=name, **kwargs):
+                out = _op(*args, **kwargs)
+                made[_name].append(weakref.ref(out.data))
+                return out
+            monkeypatch.setattr(T, name, spy)
+        model = build_model(tiny_config)
+        assert model.config.n_layers == 1
+        model.set_trainable("lora")
+        batch = np.random.default_rng(0).integers(0, 16, size=(2, 17))
+        with Tape() as tape:
+            loss = next_token_loss(model, batch)
+        q, k, v, o, gate, up, down = made["lora_linear"]
+        qh, kh, vh, k_t, merged = made["transpose"]
+        scores, ctx = made["matmul"]
+        (probs,) = made["softmax"]
+        for ref in (q, k, v, o, down, qh, kh, scores, ctx):
+            assert ref() is None
+        # read by silu, mul, the two matmuls and o's adaptor (its input, the merged heads)
+        for ref in (gate, up, vh, k_t, probs, merged):
+            assert ref() is not None
+        tape.backward(loss)
+        assert all(ref() is None for refs in made.values() for ref in refs)
+
+    def test_resized_parameter_takes_gradients_of_its_new_shape(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rand(rng, 5, 4))
+        w = Tensor(rand(rng, 3, 4), requires_grad=True)
+        for rows in (3, 2):
+            w.data = w.data[:rows].copy()  # as compression and loading replace arrays
+            w.zero_grad()
+            with Tape() as tape:
+                loss = _sum_all(T.linear(x, w))
+            tape.backward(loss)
+            assert w.grad.shape == (rows, 4)
+            assert np.allclose(w.grad, np.tile(x.data.sum(axis=0), (rows, 1)), atol=1e-12)
+
+    def test_intermediate_held_by_the_caller_gets_its_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            h = T.scale(x, 3.0)
+            loss = _sum_all(T.mul(h, h))
+        tape.backward(loss)
+        assert np.array_equal(h.grad, [6.0, 12.0])
+        assert np.array_equal(x.grad, [18.0, 36.0])
+
+    def test_mul_of_a_tensor_with_itself_accumulates_both_terms_in_order(self):
+        rng = np.random.default_rng(37)
+        x = Tensor(rand(rng, 64), requires_grad=True)
+        c = Tensor(rand(rng, 64))
+        with Tape() as tape:
+            loss = _sum_all(T.mul(T.add(T.mul(x, x), x), c))
+        tape.backward(loss)
+        # backward reaches x first through add's g = c, then mul(x, x) adds c * x twice
+        expected = np.add(c.data, 0.0)
+        expected += c.data * x.data
+        expected += c.data * x.data
+        assert np.array_equal(x.grad, expected)
+
+    def test_a_forward_without_a_tape_makes_no_gradient_cell(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = T.silu(T.scale(x, 2.0))
+        assert x._cell is None and out._cell is None
+
+
 def _has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -533,6 +604,26 @@ class TestFreedMemoryStaysInProcess:
 
 
 class TestStepPeakMemory:
+    def test_lora_only_step_peaks_below_7_mib(self, toy_model, toy_corpus):
+        # backward rules hold gradient cells and the arrays they read: about
+        # 5.7 MiB; closures holding whole input and output tensors peak at 8.9
+        from lorashear.optim import lora_optimizer, train_step
+
+        toy_model.set_trainable("lora")
+        opt = lora_optimizer(toy_model, "sgd", 1e-3)
+        rng = np.random.default_rng(0)
+        batches = [toy_corpus.sample_batch(rng, 8) for _ in range(4)]
+        assert batches[0].shape == (8, 49)  # 8x48 input tokens
+        for batch in batches[:3]:
+            train_step(toy_model, batch, opt, where="warm-up")
+        tracemalloc.start()
+        try:
+            train_step(toy_model, batches[3], opt, where="measured")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
+
     def test_all_trainable_step_peaks_below_12_mib(self, toy_model, toy_corpus):
         # backward frees each op's activations once it has run: about 9.1 MiB;
         # a tape kept whole until the step ends peaks at about 16.9 MiB
