@@ -4,12 +4,13 @@
 Usage: python scripts/seed_sweep.py [N_SEEDS] [OUT_ROOT]
 """
 
-import json
 import sys
 from pathlib import Path
 
 from lorashear import pipeline
+from lorashear.artifacts import read_json
 from lorashear.config import PipelineConfig
+from lorashear.errors import FormatError
 
 
 def main() -> int:
@@ -22,8 +23,8 @@ def main() -> int:
         cfg.seed = seed
         out = root / f"seed{seed}"
         pipeline.run_all(cfg, out)
-        prune = json.loads((out / "prune_summary.json").read_text())
-        rec = json.loads((out / "recovery_summary.json").read_text())
+        prune = read_json(out / "prune_summary.json", FormatError)
+        rec = read_json(out / "recovery_summary.json", FormatError)
         delta = prune["oneshot_heldout_loss"] - prune["lhspg_heldout_loss"]
         wins += delta >= 0
         rec_wins += rec["post_mean_ppl"] < rec["pre_mean_ppl"]

@@ -1,4 +1,5 @@
-"""The one place artifacts reach disk: JSON encodings, whole-file writes, event logs.
+"""The one place artifacts reach and leave disk: JSON encodings, whole-file
+writes, event logs, and the one JSON reader.
 
 Whole-file artifacts go to a temporary file beside the target and are renamed
 over it, so a failed or interrupted write never leaves a partial artifact for
@@ -49,3 +50,28 @@ def event_log(path=None):
         return
     with open(path, "w", encoding="utf-8") as f:
         yield lambda event: f.write(json.dumps(event, sort_keys=True) + "\n")
+
+
+def parse_json(data: bytes, source, error) -> dict:
+    """The JSON object in strict UTF-8 ``data``, else ``error(message)`` naming ``source``.
+
+    ``ValueError`` covers bad UTF-8, bad JSON and integers past the digit limit.
+    """
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise error(f"{source}: invalid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise error(f"{source}: not a JSON object")
+    return obj
+
+
+def read_json(path, error) -> dict:
+    """The JSON object in file ``path``, else ``error(message)`` naming it."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as e:
+        raise error(f"{path}: file not found") from e
+    except OSError as e:
+        raise error(f"{path}: cannot read: {e.strerror or e}") from e
+    return parse_json(data, path, error)

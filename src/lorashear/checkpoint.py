@@ -16,20 +16,20 @@ Layout (all integers little-endian, documented bit-exactly in docs/formats.md):
 Meta carries the model config, per-block head counts and MLP widths (these
 differ from the config after compression), and free-form ``extra`` data such
 as the producing stage and compression provenance. Save -> load -> save is
-byte-identical because tensor order and meta encoding are canonical.
+byte-identical because tensor order and meta encoding are canonical, and a
+load accepts no other order, encoding or meta fields.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import canonical_json, write_atomic
+from .artifacts import canonical_json, parse_json, write_atomic
 from .errors import ConfigError, FormatError
 from .model import Block, LoraLinear, LoraModel, ModelConfig
 from .tensor import Tensor
@@ -128,22 +128,19 @@ def _read_meta(r: _Reader) -> dict:
     version = r.u32()
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = r.u32()
-    try:
-        meta = json.loads(r.take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: corrupt meta block: {e}") from e
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: meta block is not a JSON object")
+    raw = r.take(r.u32())
+    meta = parse_json(raw, f"{path}: meta block", FormatError)
+    if raw != canonical_json(meta):
+        raise FormatError(f"{path}: meta block is not canonical JSON (sorted keys, no whitespace)")
     return meta
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Raw read: (meta, tensors). Validates magic, version, at most 64 dims
-    per tensor, bounds (sizes are exact Python ints, so no product of dims
-    wraps), unique tensor names, finite payloads, and the payload layout:
-    each payload starts where the table or the previous payload ends, and
-    the last one ends the file."""
+    """Raw read: (meta, tensors). Validates magic, version, canonical meta
+    bytes, at most 64 dims per tensor, bounds (sizes are exact Python ints,
+    so no product of dims wraps), unique tensor names in sorted order,
+    finite payloads, and the payload layout: each payload starts where the
+    table or the previous payload ends, and the last one ends the file."""
     blob = Path(path).read_bytes()
     r = _Reader(io.BytesIO(blob), path)
     meta = _read_meta(r)
@@ -165,6 +162,8 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if name in entries:
             raise FormatError(f"{path}: duplicate tensor {name}")
         entries[name] = (shape, offset)
+    if list(entries) != sorted(entries):
+        raise FormatError(f"{path}: tensor table is not sorted by name")
     expected = r.f.tell()
     for name, (shape, offset) in entries.items():
         nbytes = math.prod(shape) * 8
@@ -258,6 +257,8 @@ def load_checkpoint(path: str | Path) -> LoraModel:
     unknown = sorted(set(tensors) - used)
     if unknown:
         raise FormatError(f"{path}: tensor {unknown[0]} has no slot in the model the meta describes")
+    if model_meta(model, meta.get("extra")) != meta:
+        raise FormatError(f"{path}: meta holds fields other than the ones save writes for this model")
     model.set_trainable("none")
     return model
 

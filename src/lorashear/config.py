@@ -8,12 +8,11 @@ deterministically to every stage.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .artifacts import canonical_json, write_json
+from .artifacts import canonical_json, read_json, write_json
 from .errors import ConfigError
 from .model import SIZE_FIELDS
 
@@ -135,8 +134,6 @@ def _coerce(path: str, value, expected):
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object at the top level")
     cfg = PipelineConfig()
     for key, value in raw.items():
         if key == "seed":
@@ -190,14 +187,11 @@ def _validate(cfg: PipelineConfig) -> None:
 def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+    raw = read_json(path, ConfigError)
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config: invalid JSON in {p}: {e}") from e
-    return config_from_dict(raw)
+        return config_from_dict(raw)
+    except ConfigError as e:  # name the file that holds the bad value
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def write_config(cfg: PipelineConfig, path: str | Path) -> None:

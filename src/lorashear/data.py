@@ -9,7 +9,6 @@ what makes per-source degradation measurement meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,12 +182,6 @@ def corpora_to_json(corpora: dict[str, SourceTaggedCorpus], seq_len: int, extra:
 def save_corpora(corpora: dict[str, SourceTaggedCorpus], seq_len: int, path, extra: dict) -> None:
     # unindented: the integer matrices are most of the bytes
     write_json(path, corpora_to_json(corpora, seq_len, extra), indent=None)
-
-
-def load_corpora(path) -> tuple[dict[str, SourceTaggedCorpus], dict]:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    return corpora_from_json(payload), payload
 
 
 def corpora_from_json(payload: dict) -> dict[str, SourceTaggedCorpus]:

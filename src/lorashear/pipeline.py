@@ -10,13 +10,13 @@ stage derives its randomness from the single pipeline seed.
 
 from __future__ import annotations
 
-import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import baseline, compress, knowledge, recovery
-from .artifacts import event_log, write_atomic, write_json
+from .artifacts import event_log, read_json, write_atomic, write_json
 from .checkpoint import checkpoint_extra, load_checkpoint, save_checkpoint
 from .config import PipelineConfig, write_config
 from .data import SourceTaggedCorpus, corpora_from_json, generate_corpus, save_corpora
@@ -59,11 +59,9 @@ def _require(out: Path, name: str, stage: str, cfg: PipelineConfig):
         raise StageError(f"stage {stage}: missing prerequisite artifact {name}")
     checkpoint = name.endswith(".lshr")
     try:
-        stamp = checkpoint_extra(path) if checkpoint else json.loads(path.read_text(encoding="utf-8"))
-    except (FormatError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        stamp = checkpoint_extra(path) if checkpoint else read_json(path, FormatError)
+    except (FormatError, OSError) as e:
         raise StageError(f"stage {stage}: prerequisite artifact {name} is unreadable: {e}") from e
-    if not isinstance(stamp, dict):
-        raise StageError(f"stage {stage}: prerequisite artifact {name} is not a JSON object")
     if "config_hash" in stamp and stamp["config_hash"] != cfg.config_hash():
         raise StageError(
             f"stage {stage}: artifact {name} was produced under a different configuration"
@@ -112,14 +110,20 @@ def _analysis_structures(model):
     return graph, spans, node_groups, group_set
 
 
-def _apply_statuses(group_set: GroupSet, payload: dict, name: str, stage: str) -> None:
+@contextmanager
+def _fields_of(name: str, stage: str, what: str = "a missing or mistyped field"):
+    """A missing or mistyped field read from artifact ``name`` is a StageError naming it."""
     try:
-        statuses = {g["id"]: g["status"] for g in payload["group_set"]["groups"]}
-    except (KeyError, TypeError) as e:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise StageError(
-            f"stage {stage}: prerequisite artifact {name} has no valid group_set: "
-            f"{type(e).__name__}: {e}"
+            f"stage {stage}: prerequisite artifact {name} has {what}: {type(e).__name__}: {e}"
         ) from e
+
+
+def _apply_statuses(group_set: GroupSet, payload: dict, name: str, stage: str) -> None:
+    with _fields_of(name, stage, "no valid group_set"):
+        statuses = {g["id"]: g["status"] for g in payload["group_set"]["groups"]}
     if set(statuses) != set(group_set.by_id):
         raise StageError(f"stage {stage}: {name} does not match the model's structure groups")
     unknown = sorted({str(v) for v in statuses.values() if v not in STATUSES})
@@ -312,9 +316,6 @@ def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) 
     corpora = _corpora(out, "eval", cfg)
     if models:
         paths = [Path(m) for m in models]
-        for p in paths:
-            if not p.exists():
-                raise StageError(f"stage eval: model checkpoint not found: {p}")
     else:
         names = ("model_full.lshr", "model_pruned.lshr", "model_compact.lshr", "model_recovered.lshr")
         paths = [out / n for n in names if (out / n).exists()]
@@ -343,31 +344,37 @@ def stage_report(cfg: PipelineConfig, out: Path) -> None:
     lines += [
         f"- configuration hash: `{cfg.config_hash()}`",
         f"- seed: {cfg.seed}",
-        f"- pruning ratio: {prune_summary['pruning_ratio']} "
-        f"({prune_summary['target_zero_groups']} of {prune_summary['prunable_groups']} prunable groups)",
-        f"- zero groups after pruning: {prune_summary['zero_groups']} "
-        f"(target {prune_summary['target_zero_groups']})",
-        "",
-        "## Progressive pruning vs one-shot baseline (held-out loss)",
-        "",
-        "| Ratio | Method | Held-out loss |",
-        "|---|---|---|",
-        f"| {prune_summary['pruning_ratio']} | progressive half-space (this run) | "
-        f"{prune_summary['lhspg_heldout_loss']:.6f} |",
-        f"| {prune_summary['pruning_ratio']} | one-shot magnitude | "
-        f"{prune_summary['oneshot_heldout_loss']:.6f} |",
-        "",
-        f"Held-out loss delta (one-shot minus progressive): "
-        f"{prune_summary['oneshot_heldout_loss'] - prune_summary['lhspg_heldout_loss']:.6f}",
+    ]
+    with _fields_of("prune_summary.json", "report"):
+        lines += [
+            f"- pruning ratio: {prune_summary['pruning_ratio']} "
+            f"({prune_summary['target_zero_groups']} of {prune_summary['prunable_groups']} prunable groups)",
+            f"- zero groups after pruning: {prune_summary['zero_groups']} "
+            f"(target {prune_summary['target_zero_groups']})",
+            "",
+            "## Progressive pruning vs one-shot baseline (held-out loss)",
+            "",
+            "| Ratio | Method | Held-out loss |",
+            "|---|---|---|",
+            f"| {prune_summary['pruning_ratio']} | progressive half-space (this run) | "
+            f"{prune_summary['lhspg_heldout_loss']:.6f} |",
+            f"| {prune_summary['pruning_ratio']} | one-shot magnitude | "
+            f"{prune_summary['oneshot_heldout_loss']:.6f} |",
+            "",
+            f"Held-out loss delta (one-shot minus progressive): "
+            f"{prune_summary['oneshot_heldout_loss'] - prune_summary['lhspg_heldout_loss']:.6f}",
+        ]
+    lines += [
         "",
         "## Per-stage perplexities (validation)",
         "",
         "| Model | Parameters | Corpus | Mean ppl |",
         "|---|---|---|---|",
     ]
-    for name, entry in sorted(eval_payload["models"].items()):
-        for phase, stats in sorted(entry["corpora"].items()):
-            lines.append(f"| {name} | {entry['parameters']} | {phase} | {stats['mean_ppl']:.4f} |")
+    with _fields_of("eval.json", "report"):
+        for name, entry in sorted(eval_payload["models"].items()):
+            for phase, stats in sorted(entry["corpora"].items()):
+                lines.append(f"| {name} | {entry['parameters']} | {phase} | {stats['mean_ppl']:.4f} |")
     lines += [
         "",
         "## Knowledge distribution",
@@ -377,18 +384,20 @@ def stage_report(cfg: PipelineConfig, out: Path) -> None:
         "| Node group | Deviation | Unprunable |",
         "|---|---|---|",
     ]
-    for e in sorted(profile["entries"], key=lambda e: e["rank"]):
-        lines.append(f"| {e['node_group']} | {e['deviation']:.6f} | {e['unprunable']} |")
+    with _fields_of("knowledge_profile.json", "report"):
+        for e in sorted(profile["entries"], key=lambda e: e["rank"]):
+            lines.append(f"| {e['node_group']} | {e['deviation']:.6f} | {e['unprunable']} |")
     if (out / "recovery_summary.json").exists():
-        rec = json.loads((out / "recovery_summary.json").read_text())
-        lines += [
-            "",
-            "## Recovery",
-            "",
-            f"- pre-recovery mean validation ppl: {rec['pre_mean_ppl']:.4f}",
-            f"- post-recovery mean validation ppl: {rec['post_mean_ppl']:.4f}",
-            f"- improvement: {rec['pre_mean_ppl'] - rec['post_mean_ppl']:.4f}",
-        ]
+        rec = _require(out, "recovery_summary.json", "report", cfg)
+        with _fields_of("recovery_summary.json", "report"):
+            lines += [
+                "",
+                "## Recovery",
+                "",
+                f"- pre-recovery mean validation ppl: {rec['pre_mean_ppl']:.4f}",
+                f"- post-recovery mean validation ppl: {rec['post_mean_ppl']:.4f}",
+                f"- improvement: {rec['pre_mean_ppl'] - rec['post_mean_ppl']:.4f}",
+            ]
     write_atomic(out / "report.md", "\n".join(lines) + "\n")
 
 

@@ -14,10 +14,12 @@ import pytest
 
 import lorashear.tensor as T
 from lorashear import pipeline
+from lorashear.artifacts import read_json
 from lorashear.checkpoint import load_checkpoint
 from lorashear.compress import apply_compression, plan_compression
 from lorashear.config import PipelineConfig
-from lorashear.data import load_corpora
+from lorashear.data import corpora_from_json
+from lorashear.errors import FormatError
 from lorashear.graph import build_trace_graph, mark_composed_spans
 from lorashear.groups import (
     discover_node_groups,
@@ -71,7 +73,7 @@ def pruned_state(seed_battery):
     runs, _ = seed_battery
     out = runs[SEEDS[0]]
     model = load_checkpoint(out / "model_full.lshr")
-    corpora, _ = load_corpora(out / "corpus.json")
+    corpora = corpora_from_json(read_json(out / "corpus.json", FormatError))
     return model, corpora["pretraining"]
 
 

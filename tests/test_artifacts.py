@@ -1,14 +1,16 @@
-"""The artifact module: atomic whole-file writes, encodings, event logs, sole writer."""
+"""The artifact module: atomic whole-file writes, encodings, event logs, sole writer and reader."""
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import lorashear
-from lorashear.artifacts import canonical_json, event_log, write_atomic, write_json
+from lorashear.artifacts import canonical_json, event_log, read_json, write_atomic, write_json
 from lorashear.checkpoint import save_checkpoint
+from lorashear.errors import StageError
 
 PACKAGE = Path(lorashear.__file__).resolve().parent
 
@@ -93,6 +95,45 @@ class TestEventLog:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestReadJson:
+    def test_reads_what_write_json_wrote(self, tmp_path):
+        payload = {"b": [1, 2.5, None], "a": {"x": "é"}}
+        write_json(tmp_path / "a.json", payload)
+        write_json(tmp_path / "b.json", payload, indent=None)
+        assert read_json(tmp_path / "a.json", StageError) == read_json(tmp_path / "b.json", StageError) == payload
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"n": 1' + b"0" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+        (b"\xff\xfe{}", "invalid JSON: 'utf-8' codec can't decode"),
+        ('{"a": 1}'.encode("utf-16"), "invalid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth"),
+        (b'{"a": 1', "invalid JSON: Expecting"),
+        (b'{"a": 1}{}', "invalid JSON: Extra data"),
+        (b"", "invalid JSON: Expecting value"),
+        (b"[1, 2]", "not a JSON object"),
+        (b'"text"', "not a JSON object"),
+        (None, "cannot read: Is a directory"),
+    ], ids=["5000-digit-integer", "not-utf-8", "utf-16", "nested-100000-deep", "truncated",
+            "extra-data", "empty", "array", "string", "directory"])
+    def test_bad_input_is_the_given_error_naming_the_file(self, tmp_path, content, message):
+        path = tmp_path / "in.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(StageError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            read_json(path, StageError)
+
+    def test_missing_file_is_the_given_error(self, tmp_path):
+        with pytest.raises(StageError, match="nope.json: file not found"):
+            read_json(tmp_path / "nope.json", StageError)
+
+    def test_error_may_be_any_callable_returning_an_exception(self, tmp_path):
+        (tmp_path / "in.json").write_bytes(b"[]")
+        with pytest.raises(StageError, match="^stage x: .*in.json: not a JSON object$"):
+            read_json(tmp_path / "in.json", lambda message: StageError(f"stage x: {message}"))
+
+
 def _write_calls(tree: ast.AST) -> list[str]:
     """Calls that write a file or JSON text past the artifact module."""
     found = []
@@ -132,6 +173,48 @@ def test_guard_sees_each_kind_of_write():
     )
     assert [c.split(": ", 1)[1] for c in _write_calls(ast.parse(src))] == [
         "json.dump", "json.dumps", "open(..., 'w')", "open(..., 'wb')", ".write_text", ".write_bytes",
+    ]
+
+
+def _json_reads(tree: ast.AST) -> list[str]:
+    """Imports of ``json`` and calls that decode JSON past the artifact module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "json":
+            found += [(node.lineno, f"from {node.module} import {a.name}") for a in node.names]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and node.func.attr in ("load", "loads")
+        ):
+            found.append((node.lineno, f"json.{node.func.attr}"))
+    # ast.walk goes breadth first; report in source order
+    return [f"line {n}: {what}" for n, what in sorted(found, key=lambda f: f[0])]
+
+
+def test_only_the_artifact_module_reads_json():
+    offenders = {
+        path.name: reads
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "artifacts.py"
+        and (reads := _json_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+
+
+def test_read_guard_sees_each_form():
+    src = (
+        "import json\nfrom json import loads\njson.loads(s)\njson.load(f)\nimport json as j\n"
+        "from json.decoder import JSONDecodeError\nimport jsonschema\nfrom .json import x\n"
+        "x.loads(s)\nread_json(p, E)\n"
+    )
+    assert [c.split(": ", 1)[1] for c in _json_reads(ast.parse(src))] == [
+        "import json", "from json import loads", "json.loads", "json.load", "import json",
+        "from json.decoder import JSONDecodeError",
     ]
 
 

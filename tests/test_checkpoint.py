@@ -1,4 +1,3 @@
-import json
 import re
 import struct
 import tempfile
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lorashear.artifacts import canonical_json
 from lorashear.checkpoint import checkpoint_extra, load_checkpoint, read_checkpoint, save_checkpoint
 from lorashear.errors import FormatError
 from lorashear.model import LoraModel, ModelConfig, build_model
@@ -123,11 +123,32 @@ def test_every_truncation_error_names_the_file(toy_model, tmp_path):
         checkpoint_extra(cut)
 
 
-def with_meta(meta: dict, path):
-    """A checkpoint of no tensors whose meta block is ``meta``."""
-    raw = json.dumps(meta).encode()
+def with_raw_meta(raw: bytes, path):
+    """A checkpoint of no tensors whose meta block is the bytes ``raw``."""
     path.write_bytes(b"LSHR" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", 0))
     return path
+
+
+def with_meta(meta: dict, path):
+    """A checkpoint of no tensors whose meta block is ``meta``, canonically encoded."""
+    return with_raw_meta(canonical_json(meta), path)
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"extra": {}}', b'{"extra":{},"blocks":[]}', b'{"a":1e0}', b'{"\\u0061":1}', b'{"a":1}\n',
+], ids=["whitespace", "unsorted-keys", "exponent", "escaped-ascii", "newline"])
+def test_meta_that_is_not_canonical_json_is_a_format_error(tmp_path, raw):
+    path = with_raw_meta(raw, tmp_path / "m.lshr")
+    for read in (checkpoint_extra, read_checkpoint, load_checkpoint):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: meta block is not canonical JSON"):
+            read(path)
+
+
+def test_meta_integer_past_the_digit_limit_is_a_format_error(tmp_path):
+    path = with_raw_meta(b'{"extra":{"n":1' + b"0" * 5000 + b"}}", tmp_path / "m.lshr")
+    for read in (checkpoint_extra, load_checkpoint):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: meta block: invalid JSON: .*4300"):
+            read(path)
 
 
 @pytest.mark.parametrize("mutate,message", [
@@ -157,7 +178,7 @@ def test_lora_gamma_not_positive_and_finite_is_a_format_error(toy_model, tmp_pat
 
 def write_raw(path, meta: dict, named: list[tuple[str, np.ndarray]]):
     """A checkpoint holding ``named`` in the given order, duplicates included."""
-    raw = json.dumps(meta).encode()
+    raw = canonical_json(meta)
     head = b"LSHR" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", len(named))
     table_size = sum(2 + len(n.encode()) + 2 + 4 * a.ndim + 8 for n, a in named)
     offset, table = len(head) + table_size, b""
@@ -222,8 +243,36 @@ def test_table_contradicting_itself_or_the_meta_is_a_format_error(
     meta = model_meta(toy_model)
     edit_meta(meta)
     named = sorted((n, t.data) for n, t in toy_model.parameters().items())
-    path = write_raw(tmp_path / "m.lshr", meta, edit_named(named))
+    path = write_raw(tmp_path / "m.lshr", meta, sorted(edit_named(named), key=lambda t: t[0]))
     with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
+        load_checkpoint(path)
+
+
+def test_table_out_of_name_order_is_a_format_error(toy_model, tmp_path):
+    from lorashear.checkpoint import model_meta
+
+    named = sorted((n, t.data) for n, t in toy_model.parameters().items())
+    named[0], named[1] = named[1], named[0]
+    path = write_raw(tmp_path / "m.lshr", model_meta(toy_model), named)
+    for read in (read_checkpoint, load_checkpoint):
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: tensor table is not sorted by name"):
+            read(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(extrb=m.pop("extra")),
+    lambda m: m.pop("extra"),
+    lambda m: m["config"].update(note=1),
+    lambda m: m["blocks"][0].update(note=1),
+], ids=["renamed-extra", "no-extra", "config-field", "block-field"])
+def test_meta_fields_save_would_not_write_are_a_format_error(toy_model, tmp_path, edit):
+    from lorashear.checkpoint import model_meta
+
+    meta = model_meta(toy_model)
+    edit(meta)
+    named = sorted((n, t.data) for n, t in toy_model.parameters().items())
+    path = write_raw(tmp_path / "m.lshr", meta, named)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: meta holds fields other than"):
         load_checkpoint(path)
 
 
@@ -332,7 +381,10 @@ class TestByteMutations:
     @example(CONFIG_N_HEADS, ord("0"))
     def test_any_byte_replacement_loads_or_is_a_format_error(self, mutated, pos, byte):
         mutated.write_bytes(BLOB[:pos] + bytes([byte]) + BLOB[pos + 1:])
-        load_or_named_format_error(mutated)
+        if load_or_named_format_error(mutated):  # then save(load(f)) == f
+            resaved = mutated.with_name("resaved.lshr")
+            save_checkpoint(load_checkpoint(mutated), resaved, extra=checkpoint_extra(mutated))
+            assert resaved.read_bytes() == mutated.read_bytes()
 
     @given(st.integers(0, len(BLOB) - 1))
     def test_every_truncation_is_a_format_error(self, mutated, keep):

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lorashear.cli import build_parser, main
-from lorashear.config import PipelineConfig, write_config
+from lorashear.config import PipelineConfig, load_config, write_config
+from lorashear.errors import ConfigError, StageError
 from lorashear import pipeline
 
 MICRO = {
@@ -76,6 +78,20 @@ class TestReadmeForms:
         assert (args.seed, args.out) == (4, Path("a"))
 
 
+STAMP = ("schema_version", "stage", "config_hash", "seed")
+
+
+def stamp_only(blob: bytes) -> bytes:
+    """The artifact's stamp, correct for its run, with no body."""
+    payload = json.loads(blob)
+    return json.dumps({k: payload[k] for k in STAMP}).encode()
+
+
+def with_field(key: str, value):
+    """An edit that sets the artifact's top-level ``key`` to ``value``."""
+    return lambda blob: json.dumps({**json.loads(blob), key: value}).encode()
+
+
 class TestExitCodes:
     def test_config_error_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -103,6 +119,58 @@ class TestExitCodes:
         bad.write_text(text)
         assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"]) == 2
         assert f"{path}: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}", b"[" * 100_000, None,
+    ], ids=["5000-digit-integer", "not-utf-8", "nested-100000-deep", "directory"])
+    def test_unreadable_config_is_exit_2_naming_it(self, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["--config", str(config), "--out", str(out), "gen-data"]) == 2
+        assert f"config error: {config}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage,name,edit", [
+        ("report", "recovery_summary.json", lambda blob: blob[:-40]),
+        ("eval", "corpus.json", lambda blob: b'{"n": 1' + b"0" * 5000 + b"}"),
+        ("report", "eval.json", lambda blob: b"[" * 100_000),
+        ("pretrain", "corpus.json", None),
+        ("analyze", "model_full.lshr", None),
+        ("report", "eval.json", stamp_only),
+        ("report", "prune_summary.json", stamp_only),
+        ("report", "knowledge_profile.json", stamp_only),
+        ("report", "recovery_summary.json", stamp_only),
+        ("report", "eval.json", with_field("models", [])),
+        ("report", "prune_summary.json", with_field("lhspg_heldout_loss", "low")),
+        ("report", "knowledge_profile.json", with_field("entries", [1])),
+        ("report", "recovery_summary.json", with_field("pre_mean_ppl", None)),
+        ("report", "recovery_summary.json", with_field("pre_mean_ppl", 10**400)),
+        ("report", "recovery_summary.json", with_field("config_hash", "0" * 64)),
+    ], ids=["truncated-recovery-summary", "corpus-5000-digit-integer", "eval-nested-100000-deep",
+            "corpus-directory", "model-directory", "eval-stamp-only", "prune-summary-stamp-only",
+            "profile-stamp-only", "recovery-summary-stamp-only", "eval-models-list",
+            "prune-summary-loss-string", "profile-entry-number", "recovery-summary-ppl-null",
+            "recovery-summary-ppl-past-float-range", "recovery-summary-foreign-config"])
+    def test_bad_artifact_is_exit_3_naming_it(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, stage, name, edit
+    ):
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        output = tmp_path / pipeline.ARTIFACTS[stage][0]
+        output.unlink()
+        target = tmp_path / name
+        if edit is None:
+            target.unlink()
+            target.mkdir()
+        else:
+            target.write_bytes(edit(target.read_bytes()))
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), stage]) == 3
+        assert name in capsys.readouterr().err
+        assert not output.exists()
 
     def test_missing_artifact_is_exit_3(self, micro_cfg_file, tmp_path):
         rc = main(["--config", str(micro_cfg_file), "--out", str(tmp_path / "empty"), "prune"])
@@ -362,3 +430,76 @@ class TestReport:
         assert "one-shot magnitude" in report
         assert "Held-out loss delta" in report
         assert "knowledge_profile.csv" in report
+
+
+JSON_INPUTS = ("micro.json", "corpus.json", "eval.json", "prune_summary.json",
+               "knowledge_profile.json", "recovery_summary.json")
+JSON_WHITESPACE = b" \t\n\r"
+
+
+@pytest.fixture(scope="module")
+def mutation_run(finished_run, tmp_path_factory):
+    """A copy of the finished micro run plus its config as ``micro.json``, one JSON object per file."""
+    run = tmp_path_factory.mktemp("mutated-run")
+    for p in finished_run.iterdir():
+        (run / p.name).write_bytes(p.read_bytes())
+    (run / "micro.json").write_text(json.dumps(MICRO, indent=2) + "\n")
+    return run, load_config(run / "micro.json")
+
+
+def read_mutated(mutation_run, name: str, blob: bytes) -> bool:
+    """Write ``blob`` as input ``name`` and read it as its consumer does.
+
+    True if the read succeeds; False if it raises the consumer's typed error
+    naming the file (then no report is written). The original is restored.
+    """
+    run, cfg = mutation_run
+    path = run / name
+    original = path.read_bytes()
+    path.write_bytes(blob)
+    (run / "report.md").unlink(missing_ok=True)
+    try:
+        if name == "micro.json":
+            load_config(path)
+        elif name == "corpus.json":
+            pipeline._corpora(run, "eval", cfg)
+        else:
+            pipeline.stage_report(cfg, run)
+    except (ConfigError if name == "micro.json" else StageError) as e:
+        assert name in str(e)
+        assert not (run / "report.md").exists()
+        return False
+    finally:
+        path.write_bytes(original)
+    return True
+
+
+@pytest.mark.parametrize("name", JSON_INPUTS)
+class TestJsonMutations:
+    """Any mutation of a JSON input is read, or is a typed error naming the file."""
+
+    def test_unmutated_input_is_read(self, mutation_run, name):
+        assert read_mutated(mutation_run, name, (mutation_run[0] / name).read_bytes())
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_any_byte_replacement_is_read_or_a_typed_error(self, mutation_run, name, data):
+        blob = (mutation_run[0] / name).read_bytes()
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        byte = data.draw(st.integers(0, 255))
+        read_mutated(mutation_run, name, blob[:pos] + bytes([byte]) + blob[pos + 1:])
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_truncation_short_of_the_final_newline_is_a_typed_error(self, mutation_run, name, data):
+        blob = (mutation_run[0] / name).read_bytes()
+        assert blob.endswith(b"}\n")
+        keep = data.draw(st.integers(0, len(blob) - 2))
+        assert not read_mutated(mutation_run, name, blob[:keep])
+
+    @settings(max_examples=15)
+    @given(tail=st.binary(min_size=1, max_size=16))
+    @example(tail=b" \n")
+    def test_append_is_read_only_if_whitespace(self, mutation_run, name, tail):
+        blob = (mutation_run[0] / name).read_bytes()
+        assert read_mutated(mutation_run, name, blob + tail) == (not tail.strip(JSON_WHITESPACE))

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from lorashear.artifacts import read_json
 from lorashear.data import (
     INSTRUCT_KINDS,
     PRETRAIN_KINDS,
     _gen_markov,
+    corpora_from_json,
     generate_corpus,
-    load_corpora,
     save_corpora,
 )
-from lorashear.errors import ConfigError
+from lorashear.errors import ConfigError, FormatError
 from lorashear.evaluate import mean_cross_entropy, per_source_perplexity, perplexity
 from lorashear.model import next_token_loss
 
@@ -82,7 +83,8 @@ class TestGeneration:
                                  np.random.default_rng(4))
         path = tmp_path / "corpus.json"
         save_corpora({"pretraining": corpus}, 12, path, {"stage": "gen-data"})
-        loaded, payload = load_corpora(path)
+        payload = read_json(path, FormatError)
+        loaded = corpora_from_json(payload)
         assert payload["stage"] == "gen-data"
         for name in corpus.source_names:
             assert np.array_equal(loaded["pretraining"].sources[name].train,
