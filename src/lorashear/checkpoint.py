@@ -241,11 +241,13 @@ def load_checkpoint(path: str | Path) -> LoraModel:
                 lora_linear(f"{p}.mlp.gate", mlp_dim, dim),
                 lora_linear(f"{p}.mlp.up", mlp_dim, dim),
                 lora_linear(f"{p}.mlp.down", dim, mlp_dim),
-                n_heads=n_heads,
-                head_dim=head_dim,
-                mlp_dim=mlp_dim,
+                head_dim,
             )
         )
+        if head_dim != config.head_dim:
+            raise FormatError(
+                f"{path}: block {i} head_dim {head_dim} is not config dim / n_heads = {config.head_dim}"
+            )
     model = LoraModel(
         config,
         tensor("tok_embedding", config.vocab_size, dim),

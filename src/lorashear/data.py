@@ -184,22 +184,26 @@ def save_corpora(corpora: dict[str, SourceTaggedCorpus], seq_len: int, path, ext
     write_json(path, corpora_to_json(corpora, seq_len, extra), indent=None)
 
 
-def corpora_from_json(payload: dict) -> dict[str, SourceTaggedCorpus]:
-    """Corpora of a ``corpus.json`` payload; FormatError for any other schema."""
+def corpora_from_json(payload: dict, vocab_size: int) -> dict[str, SourceTaggedCorpus]:
+    """Corpora of a ``corpus.json`` payload; FormatError for any other schema
+    and for a token id outside ``[0, vocab_size)``."""
     if payload.get("schema_version") != 1:
         raise FormatError("unsupported corpus schema")
+
+    def ids(rows) -> np.ndarray:
+        out = np.asarray(rows, dtype=np.int64)
+        if out.size and (out.min() < 0 or out.max() >= vocab_size):
+            raise ValueError(f"token id outside [0, {vocab_size})")
+        return out
+
     try:
         corpora = {}
         for name, sources in payload["corpora"].items():
             pools = {
-                src: SourcePool(
-                    src,
-                    train=np.asarray(d["train"], dtype=np.int64),
-                    val=np.asarray(d["val"], dtype=np.int64),
-                )
+                src: SourcePool(src, train=ids(d["train"]), val=ids(d["val"]))
                 for src, d in sources.items()
             }
             corpora[name] = SourceTaggedCorpus(name=name, sources=pools)
-    except (KeyError, TypeError, AttributeError, ValueError) as e:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as e:
         raise FormatError(f"corpus schema violated: {type(e).__name__}: {e}") from e
     return corpora

@@ -26,7 +26,6 @@ from .artifacts import write_json
 from .errors import AnalysisError
 from .graph import ComposedSpan, TraceGraph
 from .model import LoraModel
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -386,36 +385,24 @@ def _index(s: Slice) -> tuple:
     return (idx, slice(None)) if s.axis == 0 else (slice(None), idx)
 
 
-def _zero_slices(params: dict[str, Tensor], slices: tuple[Slice, ...]) -> None:
+def _zero_slices(model: LoraModel, slices: tuple[Slice, ...]) -> None:
+    params = model.parameters()
     for s in slices:
         params[s.param].data[_index(s)] = 0.0
 
 
-def zero_structure(
-    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
-) -> None:
-    """Zero every slice of the group (host rows/cols plus matching LoRA slices).
-
-    ``params`` is ``model.parameters()``, for callers that visit many groups.
-    """
-    _zero_slices(model.parameters() if params is None else params, group.slices)
+def zero_structure(model: LoraModel, group: StructureGroup) -> None:
+    """Zero every slice of the group (host rows/cols plus matching LoRA slices)."""
+    _zero_slices(model, group.slices)
 
 
-def zero_lora_slices(
-    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
-) -> None:
-    _zero_slices(model.parameters() if params is None else params, group.lora_slices())
+def zero_lora_slices(model: LoraModel, group: StructureGroup) -> None:
+    _zero_slices(model, group.lora_slices())
 
 
-def frozen_slice_vector(
-    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
-) -> np.ndarray:
-    """Concatenated host-weight slices of the group, in slice order.
-
-    ``params`` is ``model.parameters()``, for callers that visit many groups.
-    """
-    if params is None:
-        params = model.parameters()
+def frozen_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
+    """Concatenated host-weight slices of the group, in slice order."""
+    params = model.parameters()
     parts = []
     for s in group.host_slices():
         parts.append(params[s.param].data[_index(s)].ravel())
@@ -443,15 +430,9 @@ def effective_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarra
     return np.concatenate(parts)
 
 
-def write_frozen_slices(
-    model: LoraModel,
-    group: StructureGroup,
-    vector: np.ndarray,
-    params: dict[str, Tensor] | None = None,
-) -> None:
+def write_frozen_slices(model: LoraModel, group: StructureGroup, vector: np.ndarray) -> None:
     """Scatter a flat vector back into the group's host slices (slice order)."""
-    if params is None:
-        params = model.parameters()
+    params = model.parameters()
     pos = 0
     for s in group.host_slices():
         arr = params[s.param].data
@@ -464,10 +445,8 @@ def write_frozen_slices(
         raise AnalysisError(f"group {group.id}: vector size {vector.size} does not match slices")
 
 
-def group_is_zero(
-    model: LoraModel, group: StructureGroup, params: dict[str, Tensor] | None = None
-) -> bool:
-    return not np.any(frozen_slice_vector(model, group, params))
+def group_is_zero(model: LoraModel, group: StructureGroup) -> bool:
+    return not np.any(frozen_slice_vector(model, group))
 
 
 # ---- serialization -------------------------------------------------------------

@@ -103,7 +103,7 @@ def probe_deviation(
         affected = sorted({s.param for g in chosen for s in g.slices})
         snapshot = {name: params[name].data.copy() for name in affected}
         for g in chosen:
-            zero_structure(model, g, params)
+            zero_structure(model, g)
         start = _resume_point(model, [params[name] for name in affected], residuals)
         pruned_ppl = math.exp(mean_cross_entropy(model, eval_seqs, start=start, residuals=residuals))
         for name in affected:

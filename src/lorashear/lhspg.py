@@ -43,7 +43,6 @@ from .groups import (
 from .model import LoraModel
 from .optim import lora_optimizer, lr_at, train_step
 from .saliency import SaliencyFn, get_saliency
-from .tensor import Tensor
 
 
 @dataclass
@@ -129,30 +128,21 @@ def select_redundant(
     return chosen
 
 
-def halfspace_project(
-    model: LoraModel,
-    group: StructureGroup,
-    penalty: float,
-    eps: float,
-    params: dict[str, Tensor] | None = None,
-) -> bool:
+def halfspace_project(model: LoraModel, group: StructureGroup, penalty: float, eps: float) -> bool:
     """One projection step on a redundant group's frozen slices.
 
     Returns True when the group was projected to exactly zero this call.
     A group whose frozen slice is already zero is treated as projected.
-    ``params`` is ``model.parameters()``, for callers that visit many groups.
     """
-    if params is None:
-        params = model.parameters()
-    x = frozen_slice_vector(model, group, params)
+    x = frozen_slice_vector(model, group)
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return False
     trial = effective_slice_vector(model, group) - penalty * x / norm
     if float(trial @ x) < eps * norm * norm:
-        write_frozen_slices(model, group, np.zeros_like(trial), params)
+        write_frozen_slices(model, group, np.zeros_like(trial))
         return True
-    write_frozen_slices(model, group, trial, params)
+    write_frozen_slices(model, group, trial)
     return False
 
 
@@ -173,31 +163,28 @@ def lhspg_step(
     """
     value = train_step(model, batch, opt, lr, where="lhspg")
 
-    params = model.parameters()
     current = set(state.current)
     # earlier periods' groups: the gradient step transiently revived their LoRA
     # slices; kill them before anything can flow through
     for gid in state.redundant:
         if gid not in current:
-            zero_lora_slices(model, group_set.by_id[gid], params)
+            zero_lora_slices(model, group_set.by_id[gid])
 
     projected = []
     for gid in state.current:
         group = group_set.by_id[gid]
-        if halfspace_project(model, group, state.penalty[gid], config.halfspace_eps, params):
+        if halfspace_project(model, group, state.penalty[gid], config.halfspace_eps):
             projected.append(gid)
     if final_step_of_period:
         # the penalty schedule lands the norm at epsilon scale by now; snap the
         # survivors so the zero-group cardinality is exact
         for gid in state.current:
             group = group_set.by_id[gid]
-            if not group_is_zero(model, group, params):
-                write_frozen_slices(
-                    model, group, np.zeros(frozen_slice_vector(model, group, params).size), params
-                )
+            if not group_is_zero(model, group):
+                write_frozen_slices(model, group, np.zeros(frozen_slice_vector(model, group).size))
                 projected.append(gid)
     for gid in state.current:
-        zero_lora_slices(model, group_set.by_id[gid], params)
+        zero_lora_slices(model, group_set.by_id[gid])
     return value, projected
 
 
@@ -219,8 +206,7 @@ class LhspgResult:
 
 
 def count_zero_groups(model: LoraModel, group_set: GroupSet, ids: list[str]) -> int:
-    params = model.parameters()
-    return sum(1 for gid in ids if group_is_zero(model, group_set.by_id[gid], params))
+    return sum(1 for gid in ids if group_is_zero(model, group_set.by_id[gid]))
 
 
 def run_lhspg(

@@ -8,8 +8,9 @@ learned absolute embedding. Every projection except the output head is a
 and B (out x r), applied as ``x @ W.T + gamma * (x @ A.T) @ B.T``. B starts
 at zero so a fresh model is exactly the frozen model.
 
-Blocks carry their own head count and MLP width so structurally compressed
-models (which may differ per block) reuse the same forward path.
+A block's head count and MLP width are read off its tensors' shapes, so
+structurally compressed models (which may differ per block) reuse the same
+forward path.
 
 The forward is a run of sublayers over one residual stream: sublayer ``2*i``
 is block i's attention, ``2*i + 1`` its MLP, and ``2*n_layers`` the final
@@ -21,7 +22,9 @@ skips the unchanged prefix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -100,14 +103,20 @@ class LoraLinear:
 
 
 class Block:
-    def __init__(self, attn_norm, q, k, v, o, mlp_norm, gate, up, down, n_heads, head_dim, mlp_dim):
+    def __init__(self, attn_norm, q, k, v, o, mlp_norm, gate, up, down, head_dim):
         self.attn_norm = attn_norm
         self.q, self.k, self.v, self.o = q, k, v, o
         self.mlp_norm = mlp_norm
         self.gate, self.up, self.down = gate, up, down
-        self.n_heads = n_heads
         self.head_dim = head_dim
-        self.mlp_dim = mlp_dim
+
+    @property
+    def n_heads(self) -> int:
+        return self.q.weight.shape[0] // self.head_dim
+
+    @property
+    def mlp_dim(self) -> int:
+        return self.gate.weight.shape[0]
 
     def lora_linears(self) -> dict[str, LoraLinear]:
         return {
@@ -153,6 +162,20 @@ class LoraModel:
         self.blocks: list[Block] = blocks
         self.final_norm = final_norm
         self.head = head
+        # built once: code writes a parameter's .data, never the tensor itself
+        params = {"tok_embedding": tok_embedding, "pos_embedding": pos_embedding}
+        for i, blk in enumerate(blocks):
+            prefix = f"blocks.{i}"
+            params[f"{prefix}.attn_norm.gain"] = blk.attn_norm
+            for name, mod in blk.lora_linears().items():
+                params[f"{prefix}.{name}.weight"] = mod.weight
+                if mod.has_lora:
+                    params[f"{prefix}.{name}.lora_A"] = mod.lora_a
+                    params[f"{prefix}.{name}.lora_B"] = mod.lora_b
+            params[f"{prefix}.mlp_norm.gain"] = blk.mlp_norm
+        params["final_norm.gain"] = final_norm
+        params["head.weight"] = head
+        self._params = MappingProxyType(params)
 
     # ---- parameter bookkeeping -------------------------------------------------
 
@@ -163,24 +186,9 @@ class LoraModel:
                 out[f"blocks.{i}.{name}"] = mod
         return out
 
-    def parameters(self) -> dict[str, Tensor]:
-        """All parameter tensors under canonical dotted names, in model order."""
-        params = {
-            "tok_embedding": self.tok_embedding,
-            "pos_embedding": self.pos_embedding,
-        }
-        for i, blk in enumerate(self.blocks):
-            prefix = f"blocks.{i}"
-            params[f"{prefix}.attn_norm.gain"] = blk.attn_norm
-            for name, mod in blk.lora_linears().items():
-                params[f"{prefix}.{name}.weight"] = mod.weight
-                if mod.has_lora:
-                    params[f"{prefix}.{name}.lora_A"] = mod.lora_a
-                    params[f"{prefix}.{name}.lora_B"] = mod.lora_b
-            params[f"{prefix}.mlp_norm.gain"] = blk.mlp_norm
-        params["final_norm.gain"] = self.final_norm
-        params["head.weight"] = self.head
-        return params
+    def parameters(self) -> Mapping[str, Tensor]:
+        """All parameter tensors under canonical dotted names, in model order (read-only)."""
+        return self._params
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.parameters().values())
@@ -219,9 +227,7 @@ class LoraModel:
                         LoraLinear(c(m.weight), c(m.lora_a), c(m.lora_b), m.gamma)
                         for m in (blk.gate, blk.up, blk.down)
                     ],
-                    n_heads=blk.n_heads,
                     head_dim=blk.head_dim,
-                    mlp_dim=blk.mlp_dim,
                 )
             )
         return LoraModel(self.config, c(self.tok_embedding), c(self.pos_embedding), blocks, c(self.final_norm), c(self.head))
@@ -352,8 +358,7 @@ def build_model(config: ModelConfig) -> LoraModel:
         gate = _init_linear(rng, config.mlp_dim, d, r, g, False)
         up = _init_linear(rng, config.mlp_dim, d, r, g, False)
         down = _init_linear(rng, d, config.mlp_dim, r, g, False)
-        blocks.append(Block(attn_norm, q, k, v, o, mlp_norm, gate, up, down,
-                            config.n_heads, config.head_dim, config.mlp_dim))
+        blocks.append(Block(attn_norm, q, k, v, o, mlp_norm, gate, up, down, config.head_dim))
     final_norm = Tensor(np.ones(d))
     head = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), size=(config.vocab_size, d)))
     model = LoraModel(config, tok, pos, blocks, final_norm, head)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baseline, compress, knowledge, recovery
 from .artifacts import event_log, read_json, write_atomic, write_json
-from .checkpoint import checkpoint_extra, load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_extra, load_checkpoint, model_meta, save_checkpoint
 from .config import PipelineConfig, write_config
 from .data import SourceTaggedCorpus, corpora_from_json, generate_corpus, save_corpora
 from .errors import FormatError, NumericError, StageError
@@ -82,7 +82,7 @@ def _load_model(path: Path, where: str) -> LoraModel:
 def _corpora(out: Path, stage: str, cfg: PipelineConfig) -> dict[str, SourceTaggedCorpus]:
     payload = _require(out, "corpus.json", stage, cfg)
     try:
-        return corpora_from_json(payload)
+        return corpora_from_json(payload, cfg.model.vocab_size)
     except FormatError as e:
         raise StageError(f"stage {stage}: prerequisite artifact corpus.json: {e}") from e
 
@@ -104,10 +104,8 @@ def _model_config(cfg: PipelineConfig) -> ModelConfig:
 
 def _analysis_structures(model):
     graph = build_trace_graph(model)
-    spans = mark_composed_spans(graph)
-    node_groups = discover_node_groups(graph, spans)
-    group_set = partition_variables(node_groups, model)
-    return graph, spans, node_groups, group_set
+    node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+    return node_groups, partition_variables(node_groups, model)
 
 
 @contextmanager
@@ -181,7 +179,7 @@ def stage_analyze(cfg: PipelineConfig, out: Path) -> None:
     model = _require(out, "model_full.lshr", "analyze", cfg)
     corpora = _corpora(out, "analyze", cfg)
     eval_seqs = corpora["pretraining"].val_pool()[: cfg.analysis.eval_sequences]
-    _, _, node_groups, group_set = _analysis_structures(model)
+    node_groups, group_set = _analysis_structures(model)
     profile = knowledge.analyze(
         model,
         group_set,
@@ -206,7 +204,7 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     corpus = _corpora(out, "prune", cfg)["pretraining"]
     groups_payload = _require(out, "groups.json", "prune", cfg)
     heldout = corpus.val_pool()
-    _, _, node_groups, group_set = _analysis_structures(model)
+    node_groups, group_set = _analysis_structures(model)
     _apply_statuses(group_set, groups_payload, "groups.json", "prune")
 
     prunable_before = group_set.prunable_ids()
@@ -257,9 +255,9 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
 def stage_compress(cfg: PipelineConfig, out: Path) -> None:
     model = _require(out, "model_pruned.lshr", "compress", cfg)
     groups_payload = _require(out, "groups_final.json", "compress", cfg)
-    graph, _, node_groups, group_set = _analysis_structures(model)
+    _, group_set = _analysis_structures(model)
     _apply_statuses(group_set, groups_payload, "groups_final.json", "compress")
-    plan = compress.plan_compression(group_set, node_groups, graph, model)
+    plan = compress.plan_compression(group_set, model)
     compact = compress.apply_compression(model, plan)
     # structural erasure must preserve the zeroed model's function exactly
     rng = stage_rng(cfg.seed, "compress-check")
@@ -267,7 +265,10 @@ def stage_compress(cfg: PipelineConfig, out: Path) -> None:
     diff = float(np.max(np.abs(model.forward(probe).data - compact.forward(probe).data)))
     if diff >= 1e-9:
         raise NumericError(f"compression equivalence violated: max |diff| = {diff:g}")
-    write_json(out / "compression_plan.json", {**plan.to_json(), **_stamp(cfg, "compress")})
+    write_json(
+        out / "compression_plan.json",
+        {**plan.to_json(), "block_dims": model_meta(compact)["blocks"], **_stamp(cfg, "compress")},
+    )
     save_checkpoint(
         compact,
         out / "model_compact.lshr",
@@ -432,5 +433,5 @@ def dump_graph_artifact(model_path: Path, out_path: Path) -> None:
 
 def dump_groups_artifact(model_path: Path, out_path: Path) -> None:
     model = _load_model(model_path, "groups dump")
-    _, _, node_groups, group_set = _analysis_structures(model)
+    node_groups, group_set = _analysis_structures(model)
     dump_groups(node_groups, group_set, out_path)

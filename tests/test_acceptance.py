@@ -73,7 +73,7 @@ def pruned_state(seed_battery):
     runs, _ = seed_battery
     out = runs[SEEDS[0]]
     model = load_checkpoint(out / "model_full.lshr")
-    corpora = corpora_from_json(read_json(out / "corpus.json", FormatError))
+    corpora = corpora_from_json(read_json(out / "corpus.json", FormatError), model.config.vocab_size)
     return model, corpora["pretraining"]
 
 
@@ -176,7 +176,7 @@ def test_criterion_3_removal_soundness(pruned_state):
         zero_structure(zeroed, group_set.by_id[gid])
         gs = structures(model)[2]
         gs.set_status(gid, "redundant")
-        erased = apply_compression(zeroed, plan_compression(gs, node_groups, graph, zeroed))
+        erased = apply_compression(zeroed, plan_compression(gs, zeroed))
         tokens = rng.integers(0, 64, size=(2, 17))
         diff = float(np.max(np.abs(zeroed.forward(tokens).data - erased.forward(tokens).data)))
         worst = max(worst, diff)

@@ -70,7 +70,7 @@ def test_compressed_model_round_trip_preserves_reduced_shapes(toy_model, tmp_pat
     for gid in victims:
         zero_structure(toy_model, group_set.by_id[gid])
         group_set.set_status(gid, "redundant")
-    plan = plan_compression(group_set, node_groups, graph, toy_model)
+    plan = plan_compression(group_set, toy_model)
     compact = apply_compression(toy_model, plan)
     assert compact.blocks[0].mlp_dim == 63
     assert compact.blocks[1].n_heads == 3
@@ -215,6 +215,23 @@ def unchanged(x):
     return x
 
 
+def write_head_split(path, model, n_heads: int, head_dim: int):
+    """A checkpoint of ``model`` whose block 0 meta splits attention into
+    ``n_heads`` heads of ``head_dim``, with q/k/v rows and o columns cut to match."""
+    from lorashear.checkpoint import model_meta
+
+    meta = model_meta(model)
+    meta["blocks"][0].update(n_heads=n_heads, head_dim=head_dim)
+    inner = n_heads * head_dim
+
+    def cut(name, arr):
+        if name.startswith(("blocks.0.attn.q.", "blocks.0.attn.k.", "blocks.0.attn.v.")):
+            return arr if name.endswith("lora_A") else arr[:inner]
+        return arr[:, :inner] if name in ("blocks.0.attn.o.weight", "blocks.0.attn.o.lora_A") else arr
+
+    return write_raw(path, meta, [(n, cut(n, t.data)) for n, t in sorted(model.parameters().items())])
+
+
 @pytest.mark.parametrize("edit_meta,edit_named,message", [
     (unchanged, lambda named: named + [("head.weight", np.zeros((64, 32)))],
      "duplicate tensor head.weight"),
@@ -245,6 +262,16 @@ def test_table_contradicting_itself_or_the_meta_is_a_format_error(
     named = sorted((n, t.data) for n, t in toy_model.parameters().items())
     path = write_raw(tmp_path / "m.lshr", meta, sorted(edit_named(named), key=lambda t: t[0]))
     with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("n_heads,head_dim", [(4, 0), (0, 0), (2, 16)])
+def test_block_head_dim_other_than_the_configs_is_a_format_error(toy_model, tmp_path, n_heads, head_dim):
+    # every shape agrees with the meta; only the head split leaves dim / n_heads = 8
+    path = write_head_split(tmp_path / "m.lshr", toy_model, n_heads, head_dim)
+    with pytest.raises(
+        FormatError, match=f"{re.escape(str(path))}: block 0 head_dim {head_dim} is not config dim / n_heads = 8"
+    ):
         load_checkpoint(path)
 
 

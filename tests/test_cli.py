@@ -224,7 +224,11 @@ class TestExitCodes:
         assert "groups_final.json has unknown group statuses ['gone']" in capsys.readouterr().err
         assert not (tmp_path / "model_compact.lshr").exists()
 
-    @pytest.mark.parametrize("corpora", [None, [1, 2], {"pretraining": {"markov": {"train": []}}}])
+    @pytest.mark.parametrize("corpora", [
+        None, [1, 2], {"pretraining": {"markov": {"train": []}}},
+        # token ids the model's vocabulary of 64 does not hold
+        *({"pretraining": {"markov": {"train": [[0, token]], "val": []}}} for token in (64, -1, 10**30)),
+    ])
     def test_corpus_without_valid_corpora_before_eval_is_exit_3(
         self, micro_cfg_file, finished_run, tmp_path, capsys, corpora
     ):
@@ -394,17 +398,21 @@ class TestDumps:
         ("65-dims", "tensor w has 65 dims, more than 64"),
         ("size-past-int64", "payload for tensor w out of bounds"),
         ("config-n-heads-0", "invalid config meta"),
+        ("block-head-dim-0", "block 0 head_dim 0 is not config dim / n_heads = 8"),
     ])
     def test_dump_of_an_unloadable_checkpoint_is_exit_3(
         self, finished_run, tmp_path, capsys, case, message
     ):
-        from test_checkpoint import write_dims
+        from lorashear.checkpoint import load_checkpoint
+        from test_checkpoint import write_dims, write_head_split
 
         ckpt = tmp_path / "bad.lshr"
         if case == "65-dims":
             write_dims(ckpt, (1,) * 65, b"\0" * 8)
         elif case == "size-past-int64":
             write_dims(ckpt, (2**31, 2**31, 2**31, 4), b"")
+        elif case == "block-head-dim-0":  # attention cut to nothing; a forward would divide by 0
+            write_head_split(ckpt, load_checkpoint(finished_run / "model_full.lshr"), 2, 0)
         else:  # one byte: the config's n_heads 2 -> 0 (block metadata sorts first)
             blob = (finished_run / "model_full.lshr").read_bytes()
             at = blob.index(b'"n_heads":2', blob.index(b'"config":')) + len(b'"n_heads":')

@@ -84,7 +84,7 @@ class TestGeneration:
         path = tmp_path / "corpus.json"
         save_corpora({"pretraining": corpus}, 12, path, {"stage": "gen-data"})
         payload = read_json(path, FormatError)
-        loaded = corpora_from_json(payload)
+        loaded = corpora_from_json(payload, 64)
         assert payload["stage"] == "gen-data"
         for name in corpus.source_names:
             assert np.array_equal(loaded["pretraining"].sources[name].train,

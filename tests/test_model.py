@@ -139,6 +139,32 @@ class TestLoraAlgebra:
         clone.parameters()["head.weight"].data[:] = 0.0
         assert np.any(toy_model.parameters()["head.weight"].data)
 
+    def test_parameters_is_one_read_only_map_of_the_models_own_tensors(self, toy_model, tmp_path):
+        from lorashear.checkpoint import load_checkpoint, save_checkpoint
+        from lorashear.compress import CompressionPlan, apply_compression
+
+        params = toy_model.parameters()
+        assert params is toy_model.parameters()
+        with pytest.raises(TypeError):
+            params["head.weight"] = params["tok_embedding"]
+        plan = CompressionPlan(kept={"blocks.0.mlp.gate.weight": {0: list(range(1, 64))},
+                                     "blocks.0.mlp.up.weight": {0: list(range(1, 64))}})
+        compact = apply_compression(toy_model, plan)
+        save_checkpoint(toy_model, tmp_path / "m.lshr")
+        original = {id(t) for t in params.values()}
+        for other in (toy_model, toy_model.clone(), compact, load_checkpoint(tmp_path / "m.lshr")):
+            own = [other.tok_embedding, other.pos_embedding]
+            for blk in other.blocks:
+                own.append(blk.attn_norm)
+                for mod in blk.lora_linears().values():
+                    own += mod.tensors()
+                own.append(blk.mlp_norm)
+            own += [other.final_norm, other.head]
+            assert [id(t) for t in other.parameters().values()] == [id(t) for t in own]
+            if other is not toy_model:
+                assert not original & {id(t) for t in own}
+        assert compact.parameters()["blocks.0.mlp.gate.weight"].shape == (63, 32)
+
 
 class TestTrainability:
     def test_set_trainable_lora_only(self, toy_model):

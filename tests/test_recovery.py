@@ -200,9 +200,7 @@ class TestRunRecovery:
         for gid in rng.choice(group_set.prunable_ids(), size=27, replace=False):
             zero_structure(compactee, group_set.by_id[gid])
             group_set.set_status(gid, "redundant")
-        compact = apply_compression(
-            compactee, plan_compression(group_set, node_groups, graph, compactee)
-        )
+        compact = apply_compression(compactee, plan_compression(group_set, compactee))
         corpora = {"pretraining": pre_corpus, "instruct": instruct}
         full_scores = {p: per_source_perplexity(model, c) for p, c in corpora.items()}
         return compact, corpora, full_scores
