@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +44,7 @@ _MAX_DIMS = 64  # the most dims a numpy array may have
 def model_meta(model: LoraModel, extra: dict | None = None) -> dict:
     cfg = model.config
     return {
-        "config": {
-            "vocab_size": cfg.vocab_size,
-            "dim": cfg.dim,
-            "n_layers": cfg.n_layers,
-            "n_heads": cfg.n_heads,
-            "mlp_dim": cfg.mlp_dim,
-            "lora_rank": cfg.lora_rank,
-            "lora_gamma": cfg.lora_gamma,
-            "block_size": cfg.block_size,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "blocks": [
             {"n_heads": b.n_heads, "head_dim": b.head_dim, "mlp_dim": b.mlp_dim}
             for b in model.blocks
@@ -184,18 +175,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 def load_checkpoint(path: str | Path) -> LoraModel:
     meta, tensors = read_checkpoint(path)
     try:
-        c = meta["config"]
-        config = ModelConfig(
-            vocab_size=c["vocab_size"],
-            dim=c["dim"],
-            n_layers=c["n_layers"],
-            n_heads=c["n_heads"],
-            mlp_dim=c["mlp_dim"],
-            lora_rank=c["lora_rank"],
-            lora_gamma=c["lora_gamma"],
-            block_size=c["block_size"],
-            seed=c["seed"],
-        )
+        config = ModelConfig(**{f.name: meta["config"][f.name] for f in fields(ModelConfig)})
         block_dims = [(bm["n_heads"], bm["head_dim"], bm["mlp_dim"]) for bm in meta["blocks"]]
     except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: meta missing field {e}") from e

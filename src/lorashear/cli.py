@@ -81,9 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             pipeline.dump_groups_artifact(args.checkpoint, args.output)
             return 0
 
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg = load_config(args.config, seed=args.seed)
         stage = args.command or args.stage
         if stage is None:
             parser.print_help()

@@ -1,5 +1,10 @@
 """Pipeline configuration: one JSON document, validated with path-qualified errors.
 
+The sections below are the only configuration; each stage reads its section
+as it is. Every value is judged when the config loads, before any stage
+writes a file, by ``ModelConfig`` and the ``RULES`` table: a bad value is a
+ConfigError naming its ``config.<section>.<field>`` path.
+
 All defaults are materialized into the output directory at the start of a
 run so every run is self-documenting. A single seed fans out
 deterministically to every stage.
@@ -10,11 +15,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .artifacts import canonical_json, read_json, write_json
+from .data import GENERATORS, INSTRUCT_KINDS, PRETRAIN_KINDS
 from .errors import ConfigError
-from .model import SIZE_FIELDS
+from .model import ModelConfig
+from .optim import LR_SCHEDULES, OPTIMIZERS
+from .saliency import SALIENCIES
 
 
 @dataclass
@@ -31,8 +40,8 @@ class ModelSection:
 
 @dataclass
 class DataSection:
-    pretraining_sources: list[str] = field(default_factory=lambda: ["markov", "brackets", "copy", "runs"])
-    instruct_sources: list[str] = field(default_factory=lambda: ["qa_copy", "qa_lookup"])
+    pretraining_sources: list[str] = field(default_factory=lambda: list(PRETRAIN_KINDS))
+    instruct_sources: list[str] = field(default_factory=lambda: list(INSTRUCT_KINDS))
     train_sequences_per_source: int = 160
     val_sequences_per_source: int = 16
     seq_len: int = 48
@@ -94,18 +103,11 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(**asdict(self.model), seed=self.seed)
+
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict())).hexdigest()
-
-
-_SECTIONS = {
-    "model": ModelSection,
-    "data": DataSection,
-    "pretrain": PretrainSection,
-    "analysis": AnalysisSection,
-    "lhspg": LhspgSection,
-    "recovery": RecoverySection,
-}
 
 
 def _finite(path: str, value):
@@ -135,63 +137,109 @@ def _coerce(path: str, value, expected):
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     cfg = PipelineConfig()
+    defaults = cfg.to_dict()
     for key, value in raw.items():
         if key == "seed":
             cfg.seed = _coerce("config.seed", value, int)
             continue
-        if key not in _SECTIONS:
+        if key not in defaults:
             raise ConfigError(f"config.{key}: unknown section")
         if not isinstance(value, dict):
             raise ConfigError(f"config.{key}: expected an object")
         section = getattr(cfg, key)
-        defaults = _SECTIONS[key]()
         for name, v in value.items():
-            if not hasattr(defaults, name):
+            if name not in defaults[key]:
                 raise ConfigError(f"config.{key}.{name}: unknown field")
-            expected = type(getattr(defaults, name))
+            expected = type(defaults[key][name])
             setattr(section, name, _coerce(f"config.{key}.{name}", v, expected))
     _validate(cfg)
     return cfg
 
 
+def _at_least(low):
+    return (lambda v, cfg: v >= low), f">= {low}"
+
+
+def _one_of(table):
+    return (lambda v, cfg: v in table), f"one of {sorted(table)}"
+
+
+_SOURCES = (
+    lambda v, cfg: bool(v) and all(type(k) is str and k in GENERATORS for k in v),
+    f"a non-empty list of {sorted(GENERATORS)}",
+)
+
+
+def _source_floor(v, cfg) -> bool:
+    """Every source of the longer source list can get its floor share of a subset."""
+    n_sources = max(len(cfg.data.pretraining_sources), len(cfg.data.instruct_sources))
+    return v >= 0 and v * n_sources < 1
+
+
+# (path under config., rule(value, cfg), what the rule expects); the model
+# section is judged by ModelConfig itself
+RULES = (
+    ("seed", *_at_least(0)),
+    ("data.pretraining_sources", *_SOURCES),
+    ("data.instruct_sources", *_SOURCES),
+    ("data.train_sequences_per_source", *_at_least(1)),
+    ("data.val_sequences_per_source", *_at_least(1)),
+    ("data.seq_len", lambda v, cfg: 1 <= v <= cfg.model.block_size, "in [1, model.block_size]"),
+    ("pretrain.steps", *_at_least(0)),
+    ("pretrain.batch_size", *_at_least(1)),
+    ("pretrain.learning_rate", lambda v, cfg: v > 0, "> 0"),
+    ("pretrain.optimizer", *_one_of(OPTIMIZERS)),
+    ("analysis.ratios",
+     lambda v, cfg: bool(v) and all(type(r) in (int, float) and 0 < r <= 1 for r in v),
+     "a non-empty list of numbers in (0, 1]"),
+    ("analysis.unprunable_fraction", lambda v, cfg: 0 <= v < 1, "in [0, 1)"),
+    ("analysis.eval_sequences", *_at_least(1)),
+    ("analysis.saliency", *_one_of(SALIENCIES)),
+    ("lhspg.warmup_steps", *_at_least(0)),
+    ("lhspg.periods", *_at_least(1)),
+    ("lhspg.steps_per_period", *_at_least(1)),
+    ("lhspg.pruning_ratio", lambda v, cfg: 0 < v <= 1, "in (0, 1]"),
+    ("lhspg.learning_rate", lambda v, cfg: v > 0, "> 0"),
+    ("lhspg.optimizer", *_one_of(OPTIMIZERS)),
+    ("lhspg.lr_schedule", *_one_of(LR_SCHEDULES)),
+    ("lhspg.halfspace_eps", lambda v, cfg: 0 <= v < 1, "in [0, 1)"),
+    ("lhspg.saliency", *_one_of(SALIENCIES)),
+    ("lhspg.batch_size", *_at_least(1)),
+    ("recovery.subset_size", *_at_least(1)),
+    ("recovery.source_floor", _source_floor, ">= 0, and below 1 / the larger source count"),
+    ("recovery.round_steps", *_at_least(1)),
+    ("recovery.learning_rate", lambda v, cfg: v > 0, "> 0"),
+    ("recovery.optimizer", *_one_of(OPTIMIZERS)),
+    ("recovery.tol", *_at_least(0)),
+    ("recovery.patience", *_at_least(1)),
+    ("recovery.max_rounds", *_at_least(1)),
+    ("recovery.batch_size", *_at_least(1)),
+)
+
+
 def _validate(cfg: PipelineConfig) -> None:
-    m = cfg.model
-    for name in SIZE_FIELDS:
-        if getattr(m, name) < 1:
-            raise ConfigError(f"config.model.{name}: must be >= 1, got {getattr(m, name)}")
-    if m.dim % m.n_heads != 0:
-        raise ConfigError(f"config.model.dim: {m.dim} not divisible by n_heads {m.n_heads}")
-    if cfg.data.seq_len > m.block_size:
-        raise ConfigError(
-            f"config.data.seq_len: {cfg.data.seq_len} exceeds model.block_size {m.block_size}"
-        )
-    if not (0.0 <= cfg.analysis.unprunable_fraction < 1.0):
-        raise ConfigError("config.analysis.unprunable_fraction: must be in [0, 1)")
-    if not (0.0 < cfg.lhspg.pruning_ratio <= 1.0):
-        raise ConfigError("config.lhspg.pruning_ratio: must be in (0, 1]")
-    if not (0.0 <= cfg.lhspg.halfspace_eps < 1.0):
-        raise ConfigError("config.lhspg.halfspace_eps: must be in [0, 1)")
-    if cfg.lhspg.periods < 1:
-        raise ConfigError("config.lhspg.periods: must be >= 1")
-    if cfg.lhspg.steps_per_period < 1:
-        raise ConfigError("config.lhspg.steps_per_period: must be >= 1")
-    if not cfg.data.pretraining_sources:
-        raise ConfigError("config.data.pretraining_sources: must not be empty")
-    if not cfg.data.instruct_sources:
-        raise ConfigError("config.data.instruct_sources: must not be empty")
-    n_sources = len(cfg.data.pretraining_sources)
-    if cfg.recovery.source_floor * max(n_sources, len(cfg.data.instruct_sources)) >= 1.0:
-        raise ConfigError("config.recovery.source_floor: floor * |sources| must be < 1")
-
-
-def load_config(path: str | Path | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    raw = read_json(path, ConfigError)
     try:
-        return config_from_dict(raw)
+        cfg.model_config()
+    except ConfigError as e:  # its messages start at the section: "model.dim: ..."
+        raise ConfigError(f"config.{e}") from e
+    for path, rule, expected in RULES:
+        value = attrgetter(path)(cfg)
+        if not rule(value, cfg):
+            raise ConfigError(f"config.{path}: must be {expected}, got {value!r}")
+
+
+def load_config(path: str | Path | None, seed: int | None = None) -> PipelineConfig:
+    """The config in JSON file ``path`` (the defaults when None), checked by
+    every rule; ``seed``, when given, replaces its seed and is checked too."""
+    raw = {} if path is None else read_json(path, ConfigError)
+    try:
+        cfg = config_from_dict(raw)
     except ConfigError as e:  # name the file that holds the bad value
         raise ConfigError(f"{path}: {e}") from e
+    if seed is not None:
+        cfg.seed = seed
+        _validate(cfg)
+    return cfg
 
 
 def write_config(cfg: PipelineConfig, path: str | Path) -> None:

@@ -10,6 +10,8 @@ what makes per-source degradation measurement meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -125,22 +127,26 @@ def _gen_qa_lookup(rng: np.random.Generator, length: int, vocab: int, table: np.
     return np.array(out[:length], dtype=np.int64)
 
 
+# sequence generators by source kind; qa_lookup also takes its source's key table
+GENERATORS = {
+    "markov": _gen_markov,
+    "brackets": _gen_brackets,
+    "copy": _gen_copy,
+    "runs": _gen_runs,
+    "qa_copy": _gen_qa_copy,
+    "qa_lookup": _gen_qa_lookup,
+}
+
+
 def generate_source(
     kind: str, n_sequences: int, seq_len: int, vocab: int, rng: np.random.Generator
 ) -> np.ndarray:
-    if kind == "qa_lookup":
-        table = rng.integers(20, 37, size=(12, 3))
-        return np.stack([_gen_qa_lookup(rng, seq_len + 1, vocab, table) for _ in range(n_sequences)])
-    gens = {
-        "markov": _gen_markov,
-        "brackets": _gen_brackets,
-        "copy": _gen_copy,
-        "runs": _gen_runs,
-        "qa_copy": _gen_qa_copy,
-    }
-    if kind not in gens:
+    if kind not in GENERATORS:
         raise ConfigError(f"unknown corpus source kind {kind!r}")
-    return np.stack([gens[kind](rng, seq_len + 1, vocab) for _ in range(n_sequences)])
+    gen = GENERATORS[kind]
+    if kind == "qa_lookup":
+        gen = partial(gen, table=rng.integers(20, 37, size=(12, 3)))
+    return np.stack([gen(rng, seq_len + 1, vocab) for _ in range(n_sequences)])
 
 
 def generate_corpus(
@@ -185,12 +191,15 @@ def save_corpora(corpora: dict[str, SourceTaggedCorpus], seq_len: int, path, ext
 
 
 def corpora_from_json(payload: dict, vocab_size: int) -> dict[str, SourceTaggedCorpus]:
-    """Corpora of a ``corpus.json`` payload; FormatError for any other schema
-    and for a token id outside ``[0, vocab_size)``."""
+    """Corpora of a ``corpus.json`` payload; FormatError for any other schema,
+    for a token id that is not a JSON integer (``true`` included) and for one
+    outside ``[0, vocab_size)``."""
     if payload.get("schema_version") != 1:
         raise FormatError("unsupported corpus schema")
 
     def ids(rows) -> np.ndarray:
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            raise ValueError("token ids must be JSON integers")
         out = np.asarray(rows, dtype=np.int64)
         if out.size and (out.min() < 0 or out.max() >= vocab_size):
             raise ValueError(f"token id outside [0, {vocab_size})")

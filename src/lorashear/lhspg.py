@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .artifacts import event_log
+from .config import LhspgSection
 from .errors import ConfigError
 from .groups import (
     GroupSet,
@@ -43,33 +44,6 @@ from .groups import (
 from .model import LoraModel
 from .optim import lora_optimizer, lr_at, train_step
 from .saliency import SaliencyFn, get_saliency
-
-
-@dataclass
-class LhspgConfig:
-    learning_rate: float
-    warmup_steps: int
-    periods: int
-    steps_per_period: int
-    target_zero_groups: int
-    halfspace_eps: float = 0.0
-    saliency: str = "effective_l2"
-    optimizer: str = "sgd"
-    lr_schedule: str = "constant"
-    batch_size: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.periods < 1:
-            raise ConfigError("lhspg.periods must be >= 1")
-        if self.steps_per_period < 1:
-            raise ConfigError("lhspg.steps_per_period must be >= 1")
-        if self.warmup_steps < 0:
-            raise ConfigError("lhspg.warmup_steps must be >= 0")
-        if self.target_zero_groups < 0:
-            raise ConfigError("lhspg.target_zero_groups must be >= 0")
-        if not (0.0 <= self.halfspace_eps < 1.0):
-            raise ConfigError("lhspg.halfspace_eps must be in [0, 1)")
 
 
 @dataclass
@@ -153,7 +127,7 @@ def lhspg_step(
     batch: np.ndarray,
     opt,
     lr: float,
-    config: LhspgConfig,
+    config: LhspgSection,
     final_step_of_period: bool,
 ) -> tuple[float, list[str]]:
     """One optimization step: LoRA update, trial iterates, half-space projection.
@@ -212,26 +186,29 @@ def count_zero_groups(model: LoraModel, group_set: GroupSet, ids: list[str]) -> 
 def run_lhspg(
     model: LoraModel,
     group_set: GroupSet,
-    config: LhspgConfig,
+    config: LhspgSection,
+    target: int,
+    seed: int,
     sample_batch: Callable[[np.random.Generator, int], np.ndarray],
     log_path=None,
     inspect: Optional[Callable] = None,
     after_warmup: Optional[Callable[[LoraModel], None]] = None,
 ) -> LhspgResult:
-    """Warm up, then run the periodized pruning loop to exactly the target count.
+    """Warm up, then run the periodized pruning loop to exactly ``target`` zero groups.
+
+    ``config`` is the pipeline's ``lhspg`` section, checked when it loaded
+    (its ``pruning_ratio`` gave the caller ``target``); ``seed`` seeds the
+    batch draws. A target above the prunable group count is a ConfigError.
 
     Writes a JSON-lines run log with one line per step (step, period, loss,
     zero-group count, groups projected this step) plus period_start / merge /
     done events; all run invariants are checkable from the log alone.
     """
     prunable = group_set.prunable_ids()
-    if config.target_zero_groups > len(prunable):
-        raise ConfigError(
-            f"lhspg.target_zero_groups {config.target_zero_groups} exceeds "
-            f"{len(prunable)} prunable groups"
-        )
+    if target > len(prunable):
+        raise ConfigError(f"target of {target} zero groups exceeds {len(prunable)} prunable groups")
     saliency_fn = get_saliency(config.saliency)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1A5B]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A5B]))
     losses: list[float] = []
     with event_log(log_path) as log:
 
@@ -256,7 +233,7 @@ def run_lhspg(
             after_warmup(model)
 
         state = LhspgState(important=list(prunable))
-        quotas = period_quotas(config.target_zero_groups, config.periods)
+        quotas = period_quotas(target, config.periods)
         total_steps = config.periods * config.steps_per_period
         opt = lora_optimizer(model, config.optimizer, config.learning_rate)
         step = 0
@@ -313,7 +290,7 @@ def run_lhspg(
         emit(
             {
                 "event": "done",
-                "target": config.target_zero_groups,
+                "target": target,
                 "zero_groups": zero,
                 "redundant": sorted(state.redundant),
             },

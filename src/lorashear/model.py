@@ -52,21 +52,19 @@ class ModelConfig:
     def __post_init__(self):
         for name in SIZE_FIELDS:
             if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"model.{name}: must be >= 1, got {getattr(self, name)}")
         if self.dim % self.n_heads != 0:
             raise ConfigError(
-                f"model.dim {self.dim} not divisible by model.n_heads {self.n_heads}"
+                f"model.dim: must be divisible by model.n_heads {self.n_heads}, got {self.dim}"
             )
-        if self.lora_rank < 0:
-            raise ConfigError("model.lora_rank must be >= 0")
-        if self.lora_rank >= self.dim:
-            raise ConfigError("model.lora_rank must be < model.dim")
+        if not (0 <= self.lora_rank < self.dim):
+            raise ConfigError(f"model.lora_rank: must be in [0, model.dim), got {self.lora_rank}")
         try:
             finite = math.isfinite(self.lora_gamma)
         except OverflowError:  # an integer past float range
             finite = False
         if not (finite and self.lora_gamma > 0):
-            raise ConfigError("model.lora_gamma must be positive and finite")
+            raise ConfigError(f"model.lora_gamma: must be positive and finite, got {self.lora_gamma}")
 
     @property
     def head_dim(self) -> int:
@@ -163,11 +161,13 @@ class LoraModel:
         self.final_norm = final_norm
         self.head = head
         # built once: code writes a parameter's .data, never the tensor itself
+        modules = {}
         params = {"tok_embedding": tok_embedding, "pos_embedding": pos_embedding}
         for i, blk in enumerate(blocks):
             prefix = f"blocks.{i}"
             params[f"{prefix}.attn_norm.gain"] = blk.attn_norm
             for name, mod in blk.lora_linears().items():
+                modules[f"{prefix}.{name}"] = mod
                 params[f"{prefix}.{name}.weight"] = mod.weight
                 if mod.has_lora:
                     params[f"{prefix}.{name}.lora_A"] = mod.lora_a
@@ -175,16 +175,14 @@ class LoraModel:
             params[f"{prefix}.mlp_norm.gain"] = blk.mlp_norm
         params["final_norm.gain"] = final_norm
         params["head.weight"] = head
+        self._modules = MappingProxyType(modules)
         self._params = MappingProxyType(params)
 
     # ---- parameter bookkeeping -------------------------------------------------
 
-    def lora_linears(self) -> dict[str, LoraLinear]:
-        out = {}
-        for i, blk in enumerate(self.blocks):
-            for name, mod in blk.lora_linears().items():
-                out[f"blocks.{i}.{name}"] = mod
-        return out
+    def lora_linears(self) -> Mapping[str, LoraLinear]:
+        """Every LoraLinear under its dotted module name, in model order (read-only)."""
+        return self._modules
 
     def parameters(self) -> Mapping[str, Tensor]:
         """All parameter tensors under canonical dotted names, in model order (read-only)."""

@@ -7,20 +7,24 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .model import LoraModel, next_token_loss
 from .tensor import Tape, Tensor
 
 
-def lr_at(base_lr: float, schedule: str, step: int, total_steps: int) -> float:
-    if schedule == "constant":
+def _cosine(base_lr: float, step: int, total_steps: int) -> float:
+    if total_steps <= 1:
         return base_lr
-    if schedule == "cosine":
-        if total_steps <= 1:
-            return base_lr
-        frac = min(step, total_steps - 1) / (total_steps - 1)
-        return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
-    raise ConfigError(f"unknown lr schedule {schedule!r}")
+    frac = min(step, total_steps - 1) / (total_steps - 1)
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
+
+
+# learning-rate schedules by config name
+LR_SCHEDULES = {"constant": lambda base_lr, step, total_steps: base_lr, "cosine": _cosine}
+
+
+def lr_at(base_lr: float, schedule: str, step: int, total_steps: int) -> float:
+    return LR_SCHEDULES[schedule](base_lr, step, total_steps)
 
 
 class Sgd:
@@ -79,12 +83,12 @@ class AdamW:
             p.zero_grad()
 
 
+# optimizers by config name
+OPTIMIZERS = {"sgd": Sgd, "adamw": AdamW}
+
+
 def make_optimizer(name: str, params: list[Tensor], lr: float):
-    if name == "sgd":
-        return Sgd(params, lr)
-    if name == "adamw":
-        return AdamW(params, lr)
-    raise ConfigError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](params, lr)
 
 
 def lora_optimizer(model: LoraModel, name: str, lr: float):

@@ -24,10 +24,9 @@ from .errors import FormatError, NumericError, StageError
 from .evaluate import mean_cross_entropy, per_source_perplexity
 from .graph import build_trace_graph, graph_to_json, mark_composed_spans
 from .groups import STATUSES, GroupSet, dump_groups, discover_node_groups, partition_variables
-from .lhspg import LhspgConfig, run_lhspg
-from .model import LoraModel, ModelConfig, build_model
+from .lhspg import run_lhspg
+from .model import LoraModel, build_model
 from .optim import make_optimizer, train_step
-from .recovery import RecoveryConfig
 from .util import stage_rng
 
 STAGES = ("gen-data", "pretrain", "analyze", "prune", "compress", "recover", "eval", "report")
@@ -85,21 +84,6 @@ def _corpora(out: Path, stage: str, cfg: PipelineConfig) -> dict[str, SourceTagg
         return corpora_from_json(payload, cfg.model.vocab_size)
     except FormatError as e:
         raise StageError(f"stage {stage}: prerequisite artifact corpus.json: {e}") from e
-
-
-def _model_config(cfg: PipelineConfig) -> ModelConfig:
-    m = cfg.model
-    return ModelConfig(
-        vocab_size=m.vocab_size,
-        dim=m.dim,
-        n_layers=m.n_layers,
-        n_heads=m.n_heads,
-        mlp_dim=m.mlp_dim,
-        lora_rank=m.lora_rank,
-        lora_gamma=m.lora_gamma,
-        block_size=m.block_size,
-        seed=cfg.seed,
-    )
 
 
 def _analysis_structures(model):
@@ -161,7 +145,7 @@ def stage_gen_data(cfg: PipelineConfig, out: Path) -> None:
 
 def stage_pretrain(cfg: PipelineConfig, out: Path) -> None:
     corpus = _corpora(out, "pretrain", cfg)["pretraining"]
-    model = build_model(_model_config(cfg))
+    model = build_model(cfg.model_config())
     model.set_trainable("all")
     params = list(model.parameters().values())
     opt = make_optimizer(cfg.pretrain.optimizer, params, cfg.pretrain.learning_rate)
@@ -211,24 +195,13 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     n_prunable = len(prunable_before)
     target = derive_target_zero_groups(cfg, group_set)
     lh = cfg.lhspg
-    lhspg_config = LhspgConfig(
-        learning_rate=lh.learning_rate,
-        warmup_steps=lh.warmup_steps,
-        periods=lh.periods,
-        steps_per_period=lh.steps_per_period,
-        target_zero_groups=target,
-        halfspace_eps=lh.halfspace_eps,
-        saliency=lh.saliency,
-        optimizer=lh.optimizer,
-        lr_schedule=lh.lr_schedule,
-        batch_size=lh.batch_size,
-        seed=cfg.seed,
-    )
     warm_state: dict = {}
     result = run_lhspg(
         model,
         group_set,
-        lhspg_config,
+        lh,
+        target,
+        cfg.seed,
         corpus.sample_batch,
         log_path=out / "lhspg_log.jsonl",
         after_warmup=lambda m: warm_state.update(model=m.clone()),
@@ -284,21 +257,8 @@ def stage_recover(cfg: PipelineConfig, out: Path) -> None:
     full_scores = {
         phase: per_source_perplexity(full, corpora[phase], split="val") for phase in corpora
     }
-    r = cfg.recovery
-    rec_config = RecoveryConfig(
-        subset_size=r.subset_size,
-        source_floor=r.source_floor,
-        round_steps=r.round_steps,
-        learning_rate=r.learning_rate,
-        optimizer=r.optimizer,
-        tol=r.tol,
-        patience=r.patience,
-        max_rounds=r.max_rounds,
-        batch_size=r.batch_size,
-        seed=cfg.seed,
-    )
     summary = recovery.run_recovery(
-        compact, corpora, full_scores, rec_config, log_path=out / "recovery_log.jsonl"
+        compact, corpora, full_scores, cfg.recovery, cfg.seed, log_path=out / "recovery_log.jsonl"
     )
     write_json(
         out / "recovery_summary.json",

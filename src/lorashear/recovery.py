@@ -18,35 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import event_log
+from .config import RecoverySection
 from .data import SourceTaggedCorpus
 from .errors import ConfigError
 from .evaluate import mean_cross_entropy, per_source_perplexity
 from .model import LoraModel
 from .optim import lora_optimizer, train_step
-
-
-@dataclass
-class RecoveryConfig:
-    subset_size: int
-    source_floor: float
-    round_steps: int
-    learning_rate: float
-    tol: float = 1e-3
-    patience: int = 3
-    max_rounds: int = 8
-    batch_size: int = 8
-    optimizer: str = "sgd"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.subset_size < 1:
-            raise ConfigError("recovery.subset_size must be >= 1")
-        if self.source_floor < 0:
-            raise ConfigError("recovery.source_floor must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("recovery.patience must be >= 1")
-        if self.max_rounds < 1:
-            raise ConfigError("recovery.max_rounds must be >= 1")
 
 
 @dataclass
@@ -135,7 +112,7 @@ def build_subset(
 
 
 def recovery_round(
-    model: LoraModel, subset: np.ndarray, config: RecoveryConfig, rng: np.random.Generator
+    model: LoraModel, subset: np.ndarray, config: RecoverySection, rng: np.random.Generator
 ) -> list[float]:
     """LoRA-only fine-tuning steps over a built subset."""
     opt = lora_optimizer(model, config.optimizer, config.learning_rate)
@@ -162,7 +139,8 @@ def run_recovery(
     model: LoraModel,
     corpora: dict[str, SourceTaggedCorpus],
     full_scores: dict[str, dict[str, float]],
-    config: RecoveryConfig,
+    config: RecoverySection,
+    seed: int,
     log_path=None,
 ) -> RecoverySummary:
     """Run both phases in order on ``model`` (mutated in place, LoRA merged).
@@ -170,11 +148,13 @@ def run_recovery(
     ``corpora`` maps phase name -> corpus; phases run in the fixed order
     ("pretraining", "instruct"), the second starting only after the first
     converges. ``full_scores`` are the cached full-model per-source ppls.
+    ``config`` is the pipeline's ``recovery`` section, checked when it
+    loaded; ``seed`` seeds the subset and batch draws.
     """
     phases = [p for p in ("pretraining", "instruct") if p in corpora]
     if not phases:
         raise ConfigError("recovery requires at least one corpus phase")
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x2EC0]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x2EC0]))
 
     def all_source_ppl() -> dict[str, float]:
         out = {}

@@ -18,21 +18,22 @@ from .model import LoraModel
 
 SaliencyFn = Callable[[LoraModel, StructureGroup], float]
 
-_REGISTRY: dict[str, SaliencyFn] = {}
+# saliency proxies by config name, filled by @register
+SALIENCIES: dict[str, SaliencyFn] = {}
 
 
 def register(name: str):
     def deco(fn: SaliencyFn) -> SaliencyFn:
-        _REGISTRY[name] = fn
+        SALIENCIES[name] = fn
         return fn
 
     return deco
 
 
 def get_saliency(name: str) -> SaliencyFn:
-    if name not in _REGISTRY:
-        raise ConfigError(f"unknown saliency proxy {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name]
+    if name not in SALIENCIES:
+        raise ConfigError(f"unknown saliency proxy {name!r}; known: {sorted(SALIENCIES)}")
+    return SALIENCIES[name]
 
 
 @register("effective_l2")

@@ -17,7 +17,7 @@ from lorashear import pipeline
 from lorashear.artifacts import read_json
 from lorashear.checkpoint import load_checkpoint
 from lorashear.compress import apply_compression, plan_compression
-from lorashear.config import PipelineConfig
+from lorashear.config import LhspgSection, PipelineConfig
 from lorashear.data import corpora_from_json
 from lorashear.errors import FormatError
 from lorashear.graph import build_trace_graph, mark_composed_spans
@@ -28,7 +28,7 @@ from lorashear.groups import (
     zero_structure,
 )
 from lorashear.knowledge import probe_deviation
-from lorashear.lhspg import LhspgConfig, run_lhspg
+from lorashear.lhspg import run_lhspg
 from lorashear.model import ModelConfig, build_model, next_token_loss
 from lorashear.recovery import allocate_subset
 from lorashear.saliency import get_saliency
@@ -207,8 +207,8 @@ def test_criterion_5_lhspg_cardinality(pruned_state, ratio):
             group_set.set_status(g.id, "unprunable")
     unprunable = group_set.ids_with_status("unprunable")
     k = int(round(ratio * len(group_set.prunable_ids())))
-    config = LhspgConfig(learning_rate=0.3, warmup_steps=20, periods=3, steps_per_period=12,
-                         target_zero_groups=k, batch_size=8, seed=17)
+    config = LhspgSection(learning_rate=0.3, warmup_steps=20, periods=3, steps_per_period=12,
+                          batch_size=8)
 
     snapshots = {}
     violations = []
@@ -227,7 +227,7 @@ def test_criterion_5_lhspg_cardinality(pruned_state, ratio):
         elif event["event"] == "merge":
             snapshots.update(snap(m))  # merges may move unprunable slices
 
-    result = run_lhspg(model, group_set, config, corpus.sample_batch, inspect=inspect)
+    result = run_lhspg(model, group_set, config, k, 17, corpus.sample_batch, inspect=inspect)
     ok(5, f"zero-group count exactly K at ratio {ratio}, unprunable slices touched only by merges",
        result.zero_groups == k and not violations,
        f"K={k}, zero={result.zero_groups}, violations={len(violations)}")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorashear.cli import build_parser, main
-from lorashear.config import PipelineConfig, load_config, write_config
+from lorashear.config import RULES, PipelineConfig, load_config, write_config
 from lorashear.errors import ConfigError, StageError
 from lorashear import pipeline
 
@@ -92,7 +92,71 @@ def with_field(key: str, value):
     return lambda blob: json.dumps({**json.loads(blob), key: value}).encode()
 
 
+# values that break each rule of config.RULES, by path under ``config.``
+RULE_VIOLATIONS = {
+    "seed": [-1],
+    "data.pretraining_sources": [[], ["nope"], [["markov"]]],
+    "data.instruct_sources": [[], ["qa_copy", 3]],
+    "data.train_sequences_per_source": [0],
+    "data.val_sequences_per_source": [0],
+    "data.seq_len": [0, 49],
+    "pretrain.steps": [-3],
+    "pretrain.batch_size": [0],
+    "pretrain.learning_rate": [-1, 0],
+    "pretrain.optimizer": ["nope"],
+    "analysis.ratios": [[], [2.0], [0.5, 0], ["half"], [True]],
+    "analysis.unprunable_fraction": [1.0, -0.1],
+    "analysis.eval_sequences": [0],
+    "analysis.saliency": ["nope"],
+    "lhspg.warmup_steps": [-1],
+    "lhspg.periods": [0],
+    "lhspg.steps_per_period": [0],
+    "lhspg.pruning_ratio": [0.0, 1.5],
+    "lhspg.learning_rate": [-1],
+    "lhspg.optimizer": ["nope"],
+    "lhspg.lr_schedule": ["nope"],
+    "lhspg.halfspace_eps": [1.0, -0.5],
+    "lhspg.saliency": ["nope"],
+    "lhspg.batch_size": [0],
+    "recovery.subset_size": [0],
+    "recovery.source_floor": [-0.1, 0.25],
+    "recovery.round_steps": [-1],
+    "recovery.learning_rate": [0],
+    "recovery.optimizer": ["nope"],
+    "recovery.tol": [-1],
+    "recovery.patience": [0],
+    "recovery.max_rounds": [0],
+    "recovery.batch_size": [0],
+}
+
+
+def test_every_rule_has_a_violating_value():
+    assert list(RULE_VIOLATIONS) == [path for path, _, _ in RULES]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("path,value", [
+        (path, value) for path, values in RULE_VIOLATIONS.items() for value in values
+    ])
+    def test_rule_violation_is_exit_2_before_any_file(self, tmp_path, capsys, path, value):
+        *section, name = path.split(".")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section[0]: {name: value}} if section else {name: value}))
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "--out", str(out), "run-all"]) == 2
+        assert f"config error: {bad}: config.{path}: must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_negative_seed_option_is_exit_2_before_any_file(
+        self, micro_cfg_file, tmp_path, capsys, with_file
+    ):
+        out = tmp_path / "o"
+        config = ["--config", str(micro_cfg_file)] if with_file else []
+        assert main([*config, "--out", str(out), "gen-data", "--seed", "-1"]) == 2
+        assert "config error: config.seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"lhspg": {"pruning_ratio": 0.0}}')
@@ -228,6 +292,8 @@ class TestExitCodes:
         None, [1, 2], {"pretraining": {"markov": {"train": []}}},
         # token ids the model's vocabulary of 64 does not hold
         *({"pretraining": {"markov": {"train": [[0, token]], "val": []}}} for token in (64, -1, 10**30)),
+        # ids that are not JSON integers
+        *({"pretraining": {"markov": {"train": [row], "val": []}}} for row in ([1.5, 2.9, True], [0, True])),
     ])
     def test_corpus_without_valid_corpora_before_eval_is_exit_3(
         self, micro_cfg_file, finished_run, tmp_path, capsys, corpora

@@ -1,9 +1,12 @@
+import ast
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from lorashear.config import PipelineConfig, config_from_dict, load_config, write_config
+from lorashear.config import RULES, PipelineConfig, config_from_dict, load_config, write_config
 from lorashear.errors import ConfigError
 
 
@@ -90,3 +93,61 @@ def test_partial_override_keeps_other_defaults():
 def test_non_finite_float_names_the_path(raw, path):
     with pytest.raises(ConfigError, match=f"^{path}: must be a finite number"):
         config_from_dict(raw)
+
+
+# the fields of each section but the model's, which ModelConfig judges
+SECTION_FIELDS = {
+    section.name: {f.name for f in fields(getattr(PipelineConfig(), section.name))}
+    for section in fields(PipelineConfig)
+    if section.name not in ("model", "seed")
+}
+
+
+def test_every_field_outside_the_model_section_has_a_rule():
+    names = {"seed"} | {f"{section}.{name}" for section, members in SECTION_FIELDS.items() for name in members}
+    assert names == {path for path, _, _ in RULES}
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lorashear"
+
+
+def section_copies(source: str) -> list[str]:
+    """Dataclasses in ``source`` holding all of a non-model config section's fields, or all but one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = {ast.unparse(d).split("(")[0].split(".")[-1] for d in node.decorator_list}
+        if "dataclass" not in decorators:
+            continue
+        names = {a.target.id for a in node.body if isinstance(a, ast.AnnAssign)}
+        found += [f"{node.name}~{s}" for s, want in SECTION_FIELDS.items() if len(want - names) <= 1]
+    return found
+
+
+def test_no_module_but_config_copies_a_config_section():
+    copies = {
+        path.name: section_copies(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+    }
+    assert {name: found for name, found in copies.items() if found} == {}
+
+
+@pytest.mark.parametrize("decorator", ["@dataclass", "@dataclass(frozen=True)", "@dataclasses.dataclass"])
+def test_section_copy_guard_sees_a_copy(decorator):
+    copy = f"""
+{decorator}
+class RoundSettings:
+    subset_size: int
+    round_steps: int
+    learning_rate: float
+    optimizer: str
+    tol: float = 1e-3
+    patience: int = 3
+    max_rounds: int = 8
+    batch_size: int = 8
+"""
+    assert "RoundSettings~recovery" in section_copies(copy)
+    own = {f"{s.title()}Section~{s}" for s in SECTION_FIELDS}
+    assert own <= set(section_copies((PACKAGE / "config.py").read_text(encoding="utf-8")))

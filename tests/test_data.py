@@ -90,6 +90,12 @@ class TestGeneration:
             assert np.array_equal(loaded["pretraining"].sources[name].train,
                                   corpus.sources[name].train)
 
+    @pytest.mark.parametrize("row", [[1.5, 2.9, True], [1, 2, True], [1, 2.0, 3], [1, "2", 3]])
+    def test_token_ids_that_are_not_json_integers_are_rejected(self, row):
+        payload = {"schema_version": 1, "corpora": {"pretraining": {"markov": {"train": [row], "val": []}}}}
+        with pytest.raises(FormatError, match="token ids must be JSON integers"):
+            corpora_from_json(payload, 64)
+
     def test_sample_batch_reproducible(self):
         corpus = generate_corpus("p", ("markov", "runs"), 8, 2, 16, 64, np.random.default_rng(6))
         a = corpus.sample_batch(np.random.default_rng(9), 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lorashear.config import LhspgSection
 from lorashear.errors import ConfigError, NumericError
 from lorashear.graph import build_trace_graph, mark_composed_spans
 from lorashear.groups import (
@@ -14,7 +15,6 @@ from lorashear.groups import (
     partition_variables,
 )
 from lorashear.lhspg import (
-    LhspgConfig,
     LhspgState,
     end_of_period_merge,
     halfspace_project,
@@ -252,13 +252,13 @@ class TestMerge:
         assert model_hash(model) == once
 
 
+SEED = 11
+
+
 def quick_config(**kw):
-    base = dict(
-        learning_rate=0.3, warmup_steps=5, periods=2, steps_per_period=6,
-        target_zero_groups=10, batch_size=4, seed=11,
-    )
+    base = dict(learning_rate=0.3, warmup_steps=5, periods=2, steps_per_period=6, batch_size=4)
     base.update(kw)
-    return LhspgConfig(**base)
+    return LhspgSection(**base)
 
 
 class TestRun:
@@ -266,7 +266,7 @@ class TestRun:
         model, corpus = trained_toy
         _, group_set = structures(model)
         with pytest.raises(ConfigError, match="prunable"):
-            run_lhspg(model, group_set, quick_config(target_zero_groups=137), corpus.sample_batch)
+            run_lhspg(model, group_set, quick_config(), 137, SEED, corpus.sample_batch)
 
     def test_k_zero_equals_plain_lora_finetuning(self, trained_toy):
         # independent twin: replicate the exact control flow (same seeded batch
@@ -274,12 +274,12 @@ class TestRun:
         model, corpus = trained_toy
         twin = model.clone()
         _, group_set = structures(model)
-        config = quick_config(target_zero_groups=0)
-        result = run_lhspg(model, group_set, config, corpus.sample_batch)
+        config = quick_config()
+        result = run_lhspg(model, group_set, config, 0, SEED, corpus.sample_batch)
         assert result.zero_groups == 0 and result.state.redundant == []
         assert all(s == "important" for s in (group_set.status[g] for g in group_set.by_id))
 
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1A5B]))
+        rng = np.random.default_rng(np.random.SeedSequence([SEED, 0x1A5B]))
         twin.set_trainable("lora")
         opt = make_optimizer("sgd", list(twin.lora_parameters().values()), config.learning_rate)
         for _ in range(config.warmup_steps):
@@ -301,15 +301,15 @@ class TestRun:
     def test_k_equals_all_prunable_with_one_period(self, trained_toy):
         model, corpus = trained_toy
         _, group_set = structures(model)
-        config = quick_config(periods=1, steps_per_period=4, target_zero_groups=136)
-        result = run_lhspg(model, group_set, config, corpus.sample_batch)
+        config = quick_config(periods=1, steps_per_period=4)
+        result = run_lhspg(model, group_set, config, 136, SEED, corpus.sample_batch)
         assert result.zero_groups == 136
         assert all(group_is_zero(model, group_set.by_id[g.id]) for g in group_set.groups)
 
     def test_cardinality_exact_and_monotone_redundancy(self, trained_toy, tmp_path):
         model, corpus = trained_toy
         _, group_set = structures(model)
-        config = quick_config(periods=3, steps_per_period=8, target_zero_groups=27)
+        config = quick_config(periods=3, steps_per_period=8)
         zeroed_ever: dict[str, int] = {}
         violations = []
 
@@ -328,7 +328,9 @@ class TestRun:
                 zeroed_ever.setdefault(gid, event["step"])
 
         log = tmp_path / "log.jsonl"
-        result = run_lhspg(model, group_set, config, corpus.sample_batch, log_path=log, inspect=inspect)
+        result = run_lhspg(
+            model, group_set, config, 27, SEED, corpus.sample_batch, log_path=log, inspect=inspect
+        )
         assert result.zero_groups == 27
         assert violations == []
         assert len(result.state.redundant) == 27
@@ -345,7 +347,7 @@ class TestRun:
             if g.node_group == "blocks.0.attn":
                 group_set.set_status(g.id, "unprunable")
         unprunable = group_set.ids_with_status("unprunable")
-        config = quick_config(periods=2, steps_per_period=6, target_zero_groups=20)
+        config = quick_config(periods=2, steps_per_period=6)
         snapshots = {gid: None for gid in unprunable}
         violations = []
 
@@ -367,7 +369,7 @@ class TestRun:
             elif event["event"] == "merge":
                 state["cur"] = snap(m)  # merges may move unprunable slices
 
-        result = run_lhspg(model, group_set, config, corpus.sample_batch, inspect=inspect)
+        result = run_lhspg(model, group_set, config, 20, SEED, corpus.sample_batch, inspect=inspect)
         assert violations == []
         assert result.zero_groups == 20
         for gid in unprunable:
@@ -377,9 +379,9 @@ class TestRun:
     def test_run_log_supports_post_hoc_verification(self, trained_toy, tmp_path):
         model, corpus = trained_toy
         _, group_set = structures(model)
-        config = quick_config(periods=2, steps_per_period=5, target_zero_groups=9)
+        config = quick_config(periods=2, steps_per_period=5)
         log = tmp_path / "log.jsonl"
-        run_lhspg(model, group_set, config, corpus.sample_batch, log_path=log)
+        run_lhspg(model, group_set, config, 9, SEED, corpus.sample_batch, log_path=log)
         events = [json.loads(line) for line in log.read_text().splitlines()]
         steps = [e for e in events if e["event"] == "step" and e["period"] >= 0]
         zero_counts = [e["zero_groups"] for e in steps]
@@ -408,4 +410,4 @@ class TestRun:
                 m.blocks[0].q.lora_a.data[:] = np.nan
 
         with pytest.raises(NumericError):
-            run_lhspg(model, group_set, quick_config(), corpus.sample_batch, inspect=poison)
+            run_lhspg(model, group_set, quick_config(), 10, SEED, corpus.sample_batch, inspect=poison)

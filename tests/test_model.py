@@ -165,6 +165,31 @@ class TestLoraAlgebra:
                 assert not original & {id(t) for t in own}
         assert compact.parameters()["blocks.0.mlp.gate.weight"].shape == (63, 32)
 
+    def test_lora_linears_is_one_read_only_map_of_the_models_own_modules(self, toy_model, tmp_path):
+        from lorashear.checkpoint import load_checkpoint, save_checkpoint
+        from lorashear.compress import CompressionPlan, apply_compression
+
+        modules = toy_model.lora_linears()
+        assert modules is toy_model.lora_linears()
+        with pytest.raises(TypeError):
+            modules["blocks.0.attn.q"] = modules["blocks.0.attn.k"]
+        plan = CompressionPlan(kept={"blocks.0.mlp.gate.weight": {0: list(range(1, 64))},
+                                     "blocks.0.mlp.up.weight": {0: list(range(1, 64))}})
+        compact = apply_compression(toy_model, plan)
+        save_checkpoint(toy_model, tmp_path / "m.lshr")
+        original = {id(m) for m in modules.values()}
+        for other in (toy_model, toy_model.clone(), compact, load_checkpoint(tmp_path / "m.lshr")):
+            own = {
+                f"blocks.{i}.{name}": mod
+                for i, blk in enumerate(other.blocks)
+                for name, mod in blk.lora_linears().items()
+            }
+            assert list(other.lora_linears()) == list(own)
+            assert all(other.lora_linears()[name] is mod for name, mod in own.items())
+            if other is not toy_model:
+                assert not original & {id(m) for m in own.values()}
+        assert compact.lora_linears()["blocks.0.mlp.gate"].weight.shape == (63, 32)
+
 
 class TestTrainability:
     def test_set_trainable_lora_only(self, toy_model):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lorashear.config import RecoverySection
 from lorashear.data import SourcePool, SourceTaggedCorpus, generate_corpus
 from lorashear.errors import ConfigError, NumericError
 from lorashear.evaluate import per_source_perplexity
 from lorashear.recovery import (
     ConvergenceTracker,
-    RecoveryConfig,
     allocate_subset,
     build_subset,
     measure_degradation,
@@ -178,7 +178,7 @@ class TestRecoveryRound:
     def test_nan_poisoned_lora_factor_raises_numeric_error(self, trained_toy):
         model, corpus = trained_toy
         model.blocks[1].down.lora_b.data[:] = np.nan
-        config = RecoveryConfig(subset_size=8, source_floor=0.0, round_steps=3, learning_rate=0.1)
+        config = RecoverySection(subset_size=8, source_floor=0.0, round_steps=3, learning_rate=0.1)
         with pytest.raises(NumericError):
             recovery_round(model, corpus.train_pool()[:8], config, np.random.default_rng(0))
 
@@ -207,13 +207,13 @@ class TestRunRecovery:
 
     def test_round_and_phase_protocol_from_log(self, trained_toy, tmp_path):
         compact, corpora, full_scores = self._setup(trained_toy, tmp_path)
-        config = RecoveryConfig(
+        config = RecoverySection(
             subset_size=24, source_floor=0.05, round_steps=4, learning_rate=0.15,
-            tol=math.inf, patience=1, max_rounds=4, batch_size=4, seed=3,
+            tol=math.inf, patience=1, max_rounds=4, batch_size=4,
         )
         log = tmp_path / "rec.jsonl"
         shapes_before = {n: t.data.shape for n, t in compact.parameters().items()}
-        run_recovery(compact, corpora, full_scores, config, log_path=log)
+        run_recovery(compact, corpora, full_scores, config, 3, log_path=log)
         events = [json.loads(line) for line in log.read_text().splitlines()]
         rounds = [e for e in events if e["event"] == "round"]
         # patience=1 with infinite tol: exactly one round per phase
@@ -239,11 +239,11 @@ class TestRunRecovery:
 
     def test_recovery_improves_mean_validation_perplexity(self, trained_toy, tmp_path):
         compact, corpora, full_scores = self._setup(trained_toy, tmp_path)
-        config = RecoveryConfig(
+        config = RecoverySection(
             subset_size=48, source_floor=0.05, round_steps=25, learning_rate=0.15,
-            tol=1e-3, patience=2, max_rounds=4, batch_size=8, seed=4,
+            tol=1e-3, patience=2, max_rounds=4, batch_size=8,
         )
-        summary = run_recovery(compact, corpora, full_scores, config)
+        summary = run_recovery(compact, corpora, full_scores, config, 4)
         assert summary.post_mean_ppl < summary.pre_mean_ppl
 
     def test_first_round_reuses_the_starting_scores(self, trained_toy, tmp_path, monkeypatch):
@@ -251,9 +251,9 @@ class TestRunRecovery:
 
         compact, corpora, full_scores = self._setup(trained_toy, tmp_path)
         start = compact.clone()
-        config = RecoveryConfig(
+        config = RecoverySection(
             subset_size=24, source_floor=0.05, round_steps=2, learning_rate=0.15,
-            tol=math.inf, patience=2, max_rounds=3, batch_size=4, seed=3,
+            tol=math.inf, patience=2, max_rounds=3, batch_size=4,
         )
         calls = []
 
@@ -263,7 +263,7 @@ class TestRunRecovery:
 
         monkeypatch.setattr(recovery, "per_source_perplexity", counted)
         log = tmp_path / "rec.jsonl"
-        run_recovery(compact, corpora, full_scores, config, log_path=log)
+        run_recovery(compact, corpora, full_scores, config, 3, log_path=log)
         rounds = [e for e in map(json.loads, log.read_text().splitlines()) if e["event"] == "round"]
         # start and done score both phases; every round but the first phase's first scores its own
         assert len(calls) == 2 * len(corpora) + len(rounds) - 1
