@@ -27,7 +27,7 @@ import tracemalloc
 import numpy as np
 
 from lorashear.model import ModelConfig, build_model, next_token_loss
-from lorashear.optim import make_optimizer, train_step
+from lorashear.optim import Sgd, train_step
 from lorashear.tensor import Tape
 
 # name -> (model fields, batch size); sequences are block_size + 1 tokens
@@ -48,7 +48,7 @@ def _case_fn(model, case: str):
         return lambda batch: next_token_loss(model, batch)
     model.set_trainable("lora" if case == "lora_step" else "all")
     params = [t for t in model.parameters().values() if t.requires_grad]
-    opt = make_optimizer("sgd", params, 1e-3)
+    opt = Sgd(params, 1e-3)
     return lambda batch: train_step(model, batch, opt, where=case)
 
 

@@ -11,27 +11,22 @@ from __future__ import annotations
 
 from .groups import GroupSet, zero_structure
 from .model import LoraModel
-from .saliency import get_saliency
+from .saliency import effective_l2
 
 
 def one_shot_prune(
     model: LoraModel,
     group_set: GroupSet,
     k: int,
-    candidates: list[str] | None = None,
-    saliency: str = "effective_l2",
+    candidates: list[str],
 ) -> tuple[LoraModel, list[str]]:
-    """Return a pruned clone and the group ids it zeroed (input untouched).
+    """Return a pruned clone and the ``k`` of ``candidates`` it zeroed (input untouched).
 
-    ``candidates`` defaults to the groups currently marked prunable; callers
-    comparing against a finished progressive run must pass the candidate set
-    as it was before that run reassigned statuses.
+    Callers comparing against a finished progressive run pass the prunable
+    set as it was before that run reassigned statuses.
     """
-    saliency_fn = get_saliency(saliency)
     pruned = model.clone()
-    if candidates is None:
-        candidates = group_set.prunable_ids()
-    scores = {gid: saliency_fn(pruned, group_set.by_id[gid]) for gid in candidates}
+    scores = {gid: effective_l2(pruned, group_set.by_id[gid]) for gid in candidates}
     chosen = sorted(scores, key=lambda gid: (scores[gid], gid))[:k]
     pruned.merge_all_lora()
     for gid in chosen:

@@ -22,8 +22,6 @@ from .artifacts import canonical_json, read_json, write_json
 from .data import GENERATORS, INSTRUCT_KINDS, PRETRAIN_KINDS
 from .errors import ConfigError
 from .model import ModelConfig
-from .optim import LR_SCHEDULES, OPTIMIZERS
-from .saliency import SALIENCIES
 
 
 @dataclass
@@ -52,7 +50,6 @@ class PretrainSection:
     steps: int = 350
     batch_size: int = 8
     learning_rate: float = 3e-3
-    optimizer: str = "adamw"
 
 
 @dataclass
@@ -60,7 +57,6 @@ class AnalysisSection:
     ratios: list[float] = field(default_factory=lambda: [0.25, 0.5])
     unprunable_fraction: float = 0.1
     eval_sequences: int = 16
-    saliency: str = "effective_l2"
 
 
 @dataclass
@@ -70,10 +66,7 @@ class LhspgSection:
     steps_per_period: int = 40
     pruning_ratio: float = 0.2
     learning_rate: float = 0.3
-    optimizer: str = "sgd"
-    lr_schedule: str = "constant"
     halfspace_eps: float = 0.0
-    saliency: str = "effective_l2"
     batch_size: int = 8
 
 
@@ -83,7 +76,6 @@ class RecoverySection:
     source_floor: float = 0.05
     round_steps: int = 30
     learning_rate: float = 0.15
-    optimizer: str = "sgd"
     tol: float = 1e-3
     patience: int = 2
     max_rounds: int = 5
@@ -160,20 +152,26 @@ def _at_least(low):
     return (lambda v, cfg: v >= low), f">= {low}"
 
 
-def _one_of(table):
-    return (lambda v, cfg: v in table), f"one of {sorted(table)}"
-
-
 _SOURCES = (
-    lambda v, cfg: bool(v) and all(type(k) is str and k in GENERATORS for k in v),
-    f"a non-empty list of {sorted(GENERATORS)}",
+    lambda v, cfg: bool(v)
+    and all(type(k) is str and k in GENERATORS for k in v)
+    and len(set(v)) == len(v),
+    f"a non-empty list of distinct names from {sorted(GENERATORS)}",
 )
+
+
+def _n_sources(cfg) -> int:
+    return max(len(cfg.data.pretraining_sources), len(cfg.data.instruct_sources))
+
+
+def _subset_size(v, cfg) -> bool:
+    """A subset has room for one sequence of every source while the floor is active."""
+    return v >= 1 and (cfg.recovery.source_floor <= 0 or v >= _n_sources(cfg))
 
 
 def _source_floor(v, cfg) -> bool:
     """Every source of the longer source list can get its floor share of a subset."""
-    n_sources = max(len(cfg.data.pretraining_sources), len(cfg.data.instruct_sources))
-    return v >= 0 and v * n_sources < 1
+    return v >= 0 and v * _n_sources(cfg) < 1
 
 
 # (path under config., rule(value, cfg), what the rule expects); the model
@@ -188,28 +186,23 @@ RULES = (
     ("pretrain.steps", *_at_least(0)),
     ("pretrain.batch_size", *_at_least(1)),
     ("pretrain.learning_rate", lambda v, cfg: v > 0, "> 0"),
-    ("pretrain.optimizer", *_one_of(OPTIMIZERS)),
     ("analysis.ratios",
      lambda v, cfg: bool(v) and all(type(r) in (int, float) and 0 < r <= 1 for r in v),
      "a non-empty list of numbers in (0, 1]"),
     ("analysis.unprunable_fraction", lambda v, cfg: 0 <= v < 1, "in [0, 1)"),
     ("analysis.eval_sequences", *_at_least(1)),
-    ("analysis.saliency", *_one_of(SALIENCIES)),
     ("lhspg.warmup_steps", *_at_least(0)),
     ("lhspg.periods", *_at_least(1)),
     ("lhspg.steps_per_period", *_at_least(1)),
     ("lhspg.pruning_ratio", lambda v, cfg: 0 < v <= 1, "in (0, 1]"),
     ("lhspg.learning_rate", lambda v, cfg: v > 0, "> 0"),
-    ("lhspg.optimizer", *_one_of(OPTIMIZERS)),
-    ("lhspg.lr_schedule", *_one_of(LR_SCHEDULES)),
     ("lhspg.halfspace_eps", lambda v, cfg: 0 <= v < 1, "in [0, 1)"),
-    ("lhspg.saliency", *_one_of(SALIENCIES)),
     ("lhspg.batch_size", *_at_least(1)),
-    ("recovery.subset_size", *_at_least(1)),
+    ("recovery.subset_size", _subset_size,
+     ">= 1, and >= the larger source count while recovery.source_floor > 0"),
     ("recovery.source_floor", _source_floor, ">= 0, and below 1 / the larger source count"),
     ("recovery.round_steps", *_at_least(1)),
     ("recovery.learning_rate", lambda v, cfg: v > 0, "> 0"),
-    ("recovery.optimizer", *_one_of(OPTIMIZERS)),
     ("recovery.tol", *_at_least(0)),
     ("recovery.patience", *_at_least(1)),
     ("recovery.max_rounds", *_at_least(1)),

@@ -61,13 +61,8 @@ def perplexity(model: LoraModel, sequences: np.ndarray) -> float:
     return math.exp(mean_cross_entropy(model, sequences))
 
 
-def per_source_perplexity(
-    model: LoraModel, corpus: SourceTaggedCorpus, split: str = "val"
-) -> dict[str, float]:
-    """Perplexity of each source's ``split`` pool ("val" or "train"), by source name."""
+def per_source_perplexity(model: LoraModel, corpus: SourceTaggedCorpus) -> dict[str, float]:
+    """Perplexity of each source's validation split, by source name."""
     if not corpus.sources:
         raise ConfigError(f"corpus {corpus.name!r} has no sources")
-    return {
-        name: perplexity(model, src.val if split == "val" else src.train)
-        for name, src in sorted(corpus.sources.items())
-    }
+    return {name: perplexity(model, src.val) for name, src in sorted(corpus.sources.items())}

@@ -27,7 +27,7 @@ from .errors import ConfigError, CorruptionError
 from .evaluate import empty_residuals, mean_cross_entropy, perplexity
 from .groups import GroupSet, NodeGroups, zero_structure
 from .model import LoraModel
-from .saliency import SaliencyFn, get_saliency
+from .saliency import effective_l2
 from .util import model_hash
 
 
@@ -42,14 +42,10 @@ class NodeGroupDeviation:
 @dataclass
 class KnowledgeProfile:
     entries: list[NodeGroupDeviation]
-    ratios: tuple[float, ...]
-    unprunable_fraction: float
 
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
-            "ratios": list(self.ratios),
-            "unprunable_fraction": self.unprunable_fraction,
             "entries": [
                 {
                     "node_group": e.node_group,
@@ -76,13 +72,12 @@ def probe_deviation(
     node_group_id: str,
     ratios: tuple[float, ...],
     eval_seqs: np.ndarray,
-    saliency_fn: SaliencyFn,
     base_ppl: float | None = None,
     residuals: list[dict] | None = None,
 ) -> float:
     """Mean over ratios of ppl(partially zeroed) - ppl(intact).
 
-    The node group's structures are ranked by (saliency, id) once; each ratio
+    The node group's structures are ranked by (effective_l2, id) once; each ratio
     zeroes the first ``ceil(ratio * n)`` of them. ``residuals`` holds the
     intact model's residual streams per evaluation chunk, as ``analyze``
     records them; each ratio's forward then resumes at the latest recorded
@@ -96,7 +91,7 @@ def probe_deviation(
     if base_ppl is None:
         base_ppl = perplexity(model, eval_seqs)
     params = model.parameters()
-    ranked = sorted(groups, key=lambda g: (saliency_fn(model, g), g.id))
+    ranked = sorted(groups, key=lambda g: (effective_l2(model, g), g.id))
     deviations = []
     for ratio in ratios:
         chosen = ranked[: math.ceil(ratio * len(ranked))]
@@ -121,7 +116,6 @@ def analyze(
     ratios: tuple[float, ...],
     eval_seqs: np.ndarray,
     unprunable_fraction: float,
-    saliency: str = "effective_l2",
 ) -> KnowledgeProfile:
     """Probe every prunable node group and flag the top fraction unprunable.
 
@@ -132,7 +126,6 @@ def analyze(
         raise ConfigError(f"analysis.unprunable_fraction must be in [0, 1), got {unprunable_fraction}")
     if np.asarray(eval_seqs).size == 0:
         raise ConfigError("analysis evaluation set is empty")
-    saliency_fn = get_saliency(saliency)
     families = node_groups.prunable_families()
     family_ids = [f.id for f in families]
     # keep the intact residual stream only where some probe resumes
@@ -145,7 +138,7 @@ def analyze(
     base_ppl = math.exp(mean_cross_entropy(model, eval_seqs, keep=residuals))
 
     deviations = {
-        fid: probe_deviation(model, group_set, fid, ratios, eval_seqs, saliency_fn, base_ppl, residuals)
+        fid: probe_deviation(model, group_set, fid, ratios, eval_seqs, base_ppl, residuals)
         for fid in family_ids
     }
 
@@ -158,7 +151,7 @@ def analyze(
     flagged = {e.node_group for e in entries if e.unprunable}
     for g in group_set.groups:
         group_set.set_status(g.id, "unprunable" if g.node_group in flagged else "prunable")
-    return KnowledgeProfile(entries=entries, ratios=tuple(ratios), unprunable_fraction=unprunable_fraction)
+    return KnowledgeProfile(entries=entries)
 
 
 def save_profile(profile: KnowledgeProfile, json_path, csv_path, extra: dict) -> None:

@@ -1,9 +1,10 @@
 """Progressive structured pruning via half-space projected gradient over LoRA.
 
 The frozen host weights never receive gradient. Each period selects the
-least-salient still-important groups as this period's redundant set, assigns
-each a magnitude penalty sized so the penalty alone drives the group norm to
-zero by period end, and then runs LoRA gradient steps. Per step, a redundant
+still-important groups of least ``saliency.effective_l2`` as this period's
+redundant set, assigns each a magnitude penalty sized so the penalty alone
+drives the group norm to zero by period end, and then runs plain SGD steps
+on the LoRA factors at the constant ``learning_rate``. Per step, a redundant
 group's frozen slice moves to the trial iterate
 
     trial = [x + gamma*B@A]_g - penalty_g * [x]_g / ||[x]_g||
@@ -42,18 +43,16 @@ from .groups import (
     zero_lora_slices,
 )
 from .model import LoraModel
-from .optim import lora_optimizer, lr_at, train_step
-from .saliency import SaliencyFn, get_saliency
+from .optim import lora_optimizer, train_step
+from .saliency import effective_l2
 
 
 @dataclass
 class LhspgState:
-    period: int = -1
     redundant: list[str] = field(default_factory=list)
     important: list[str] = field(default_factory=list)
     current: list[str] = field(default_factory=list)  # this period's fresh redundant set
     penalty: dict[str, float] = field(default_factory=dict)
-    saliency_scores: dict[str, float] = field(default_factory=dict)
 
 
 def period_quotas(target: int, periods: int) -> list[int]:
@@ -73,11 +72,10 @@ def warmup(
     sample_batch: Callable[[], np.ndarray],
     steps: int,
     learning_rate: float,
-    optimizer: str = "sgd",
     on_step: Optional[Callable[[int, float], None]] = None,
 ) -> list[float]:
-    """LoRA-only warm-up steps; frozen weights are untouched by construction."""
-    opt = lora_optimizer(model, optimizer, learning_rate)
+    """LoRA-only SGD warm-up steps; frozen weights are untouched by construction."""
+    opt = lora_optimizer(model, learning_rate)
     losses = []
     for step in range(steps):
         value = train_step(model, sample_batch(), opt, where=f"warmup step {step}")
@@ -126,7 +124,6 @@ def lhspg_step(
     group_set: GroupSet,
     batch: np.ndarray,
     opt,
-    lr: float,
     config: LhspgSection,
     final_step_of_period: bool,
 ) -> tuple[float, list[str]]:
@@ -135,7 +132,7 @@ def lhspg_step(
     Important groups' frozen slices are untouched; redundant LoRA slices end
     the step at zero.
     """
-    value = train_step(model, batch, opt, lr, where="lhspg")
+    value = train_step(model, batch, opt, where="lhspg")
 
     current = set(state.current)
     # earlier periods' groups: the gradient step transiently revived their LoRA
@@ -207,7 +204,6 @@ def run_lhspg(
     prunable = group_set.prunable_ids()
     if target > len(prunable):
         raise ConfigError(f"target of {target} zero groups exceeds {len(prunable)} prunable groups")
-    saliency_fn = get_saliency(config.saliency)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A5B]))
     losses: list[float] = []
     with event_log(log_path) as log:
@@ -222,7 +218,6 @@ def run_lhspg(
             lambda: sample_batch(rng, config.batch_size),
             config.warmup_steps,
             config.learning_rate,
-            optimizer=config.optimizer,
             on_step=lambda step, value: emit(
                 {"event": "step", "step": step, "period": -1, "loss": value,
                  "zero_groups": None, "projected": []}
@@ -234,15 +229,10 @@ def run_lhspg(
 
         state = LhspgState(important=list(prunable))
         quotas = period_quotas(target, config.periods)
-        total_steps = config.periods * config.steps_per_period
-        opt = lora_optimizer(model, config.optimizer, config.learning_rate)
+        opt = lora_optimizer(model, config.learning_rate)
         step = 0
         for period, quota in enumerate(quotas):
-            state.period = period
-            scores = {
-                gid: saliency_fn(model, group_set.by_id[gid]) for gid in state.important
-            }
-            state.saliency_scores = scores
+            scores = {gid: effective_l2(model, group_set.by_id[gid]) for gid in state.important}
             selected = select_redundant(state, quota, scores)
             for gid in selected:
                 norm = float(np.linalg.norm(frozen_slice_vector(model, group_set.by_id[gid])))
@@ -257,7 +247,6 @@ def run_lhspg(
                 },
             )
             for t in range(config.steps_per_period):
-                lr = lr_at(config.learning_rate, config.lr_schedule, step, total_steps)
                 batch = sample_batch(rng, config.batch_size)
                 value, projected = lhspg_step(
                     model,
@@ -265,7 +254,6 @@ def run_lhspg(
                     group_set,
                     batch,
                     opt,
-                    lr,
                     config,
                     final_step_of_period=(t == config.steps_per_period - 1),
                 )

@@ -26,7 +26,7 @@ from .graph import build_trace_graph, graph_to_json, mark_composed_spans
 from .groups import STATUSES, GroupSet, dump_groups, discover_node_groups, partition_variables
 from .lhspg import run_lhspg
 from .model import LoraModel, build_model
-from .optim import make_optimizer, train_step
+from .optim import AdamW, train_step
 from .util import stage_rng
 
 STAGES = ("gen-data", "pretrain", "analyze", "prune", "compress", "recover", "eval", "report")
@@ -147,8 +147,7 @@ def stage_pretrain(cfg: PipelineConfig, out: Path) -> None:
     corpus = _corpora(out, "pretrain", cfg)["pretraining"]
     model = build_model(cfg.model_config())
     model.set_trainable("all")
-    params = list(model.parameters().values())
-    opt = make_optimizer(cfg.pretrain.optimizer, params, cfg.pretrain.learning_rate)
+    opt = AdamW(list(model.parameters().values()), cfg.pretrain.learning_rate)
     rng = stage_rng(cfg.seed, "pretrain")
     with event_log(out / "pretrain_log.jsonl") as emit:
         for step in range(cfg.pretrain.steps):
@@ -171,10 +170,16 @@ def stage_analyze(cfg: PipelineConfig, out: Path) -> None:
         tuple(cfg.analysis.ratios),
         eval_seqs,
         cfg.analysis.unprunable_fraction,
-        saliency=cfg.analysis.saliency,
     )
     knowledge.save_profile(
-        profile, out / "knowledge_profile.json", out / "knowledge_profile.csv", _stamp(cfg, "analyze")
+        profile,
+        out / "knowledge_profile.json",
+        out / "knowledge_profile.csv",
+        {
+            **_stamp(cfg, "analyze"),
+            "ratios": cfg.analysis.ratios,
+            "unprunable_fraction": cfg.analysis.unprunable_fraction,
+        },
     )
     dump_groups(node_groups, group_set, out / "groups.json")
 
@@ -206,9 +211,7 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
         log_path=out / "lhspg_log.jsonl",
         after_warmup=lambda m: warm_state.update(model=m.clone()),
     )
-    oneshot, oneshot_ids = baseline.one_shot_prune(
-        warm_state["model"], group_set, target, candidates=prunable_before, saliency=lh.saliency
-    )
+    oneshot, oneshot_ids = baseline.one_shot_prune(warm_state["model"], group_set, target, prunable_before)
     summary = {
         **_stamp(cfg, "prune"),
         "target_zero_groups": target,
@@ -254,9 +257,7 @@ def stage_recover(cfg: PipelineConfig, out: Path) -> None:
     full = _require(out, "model_full.lshr", "recover", cfg)
     corpora = _corpora(out, "recover", cfg)
     # the full model never changes; compute its reference scores once
-    full_scores = {
-        phase: per_source_perplexity(full, corpora[phase], split="val") for phase in corpora
-    }
+    full_scores = {phase: per_source_perplexity(full, corpora[phase]) for phase in corpora}
     summary = recovery.run_recovery(
         compact, corpora, full_scores, cfg.recovery, cfg.seed, log_path=out / "recovery_log.jsonl"
     )
@@ -287,7 +288,7 @@ def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) 
         model = _load_model(path, "stage eval")
         per_corpus = {}
         for phase, corpus in sorted(corpora.items()):
-            scores = per_source_perplexity(model, corpus, split="val")
+            scores = per_source_perplexity(model, corpus)
             per_corpus[phase] = {
                 "per_source": scores,
                 "mean_ppl": float(np.mean(list(scores.values()))),

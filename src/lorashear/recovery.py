@@ -58,7 +58,7 @@ def measure_degradation(
         if corpus.sources[name].val.size == 0:
             raise ConfigError(f"source {name!r} has an empty validation split")
     if scores is None:
-        scores = per_source_perplexity(model, corpus, split="val")
+        scores = per_source_perplexity(model, corpus)
     return {name: scores[name] - full_scores[name] for name in corpus.source_names}
 
 
@@ -105,7 +105,10 @@ def build_subset(
         pool = corpus.sources[name].train
         n = counts[name]
         if n > len(pool):
-            raise ConfigError(f"source {name!r} has {len(pool)} training sequences, need {n}")
+            raise ConfigError(
+                f"source {name!r} has {len(pool)} training sequences, need {n}: "
+                "lower config.recovery.subset_size or raise config.data.train_sequences_per_source"
+            )
         idx = rng.choice(len(pool), size=n, replace=False)
         parts.append(pool[np.sort(idx)])
     return np.concatenate(parts), counts
@@ -114,8 +117,8 @@ def build_subset(
 def recovery_round(
     model: LoraModel, subset: np.ndarray, config: RecoverySection, rng: np.random.Generator
 ) -> list[float]:
-    """LoRA-only fine-tuning steps over a built subset."""
-    opt = lora_optimizer(model, config.optimizer, config.learning_rate)
+    """LoRA-only SGD steps over a built subset."""
+    opt = lora_optimizer(model, config.learning_rate)
     losses = []
     for step in range(config.round_steps):
         idx = rng.integers(0, len(subset), size=config.batch_size)
@@ -159,7 +162,7 @@ def run_recovery(
     def all_source_ppl() -> dict[str, float]:
         out = {}
         for phase in phases:
-            for name, ppl in per_source_perplexity(model, corpora[phase], split="val").items():
+            for name, ppl in per_source_perplexity(model, corpora[phase]).items():
                 out[f"{phase}/{name}"] = ppl
         return out
 

@@ -57,7 +57,7 @@ def tiny_corpus():
 def _trained_toy_state():
     """One short pretraining run shared by the whole session (clone to use)."""
     from lorashear.model import next_token_loss
-    from lorashear.optim import make_optimizer
+    from lorashear.optim import AdamW
     from lorashear.tensor import Tape
 
     rng = np.random.default_rng(123)
@@ -67,7 +67,7 @@ def _trained_toy_state():
     )
     model = build_model(ModelConfig(seed=3, **TOY))
     model.set_trainable("all")
-    opt = make_optimizer("adamw", list(model.parameters().values()), 3e-3)
+    opt = AdamW(list(model.parameters().values()), 3e-3)
     for _ in range(150):
         opt.zero_grad()
         with Tape() as tape:

@@ -31,7 +31,6 @@ from lorashear.knowledge import probe_deviation
 from lorashear.lhspg import run_lhspg
 from lorashear.model import ModelConfig, build_model, next_token_loss
 from lorashear.recovery import allocate_subset
-from lorashear.saliency import get_saliency
 from lorashear.tensor import Tape, Tensor
 from lorashear.util import model_hash
 
@@ -188,11 +187,10 @@ def test_criterion_4_knowledge_analysis_restore(pruned_state):
     model, corpus = pruned_state
     _, node_groups, group_set = structures(model)
     eval_seqs = corpus.val_pool()[:8]
-    sal = get_saliency("effective_l2")
     before = model_hash(model)
     clean = True
     for family in node_groups.prunable_families():
-        probe_deviation(model, group_set, family.id, (0.25, 0.5), eval_seqs, sal)
+        probe_deviation(model, group_set, family.id, (0.25, 0.5), eval_seqs)
         clean = clean and model_hash(model) == before
     ok(4, "tensor hash identical before and after every probe, over all node groups", clean)
 

@@ -32,6 +32,19 @@ def test_unknown_field_names_the_path():
         config_from_dict({"lhspg": {"warmup": 10}})
 
 
+@pytest.mark.parametrize("section,name,value", [
+    ("pretrain", "optimizer", "adamw"),
+    ("analysis", "saliency", "effective_l2"),
+    ("lhspg", "optimizer", "sgd"),
+    ("lhspg", "lr_schedule", "constant"),
+    ("lhspg", "saliency", "effective_l2"),
+    ("recovery", "optimizer", "sgd"),
+])
+def test_an_old_config_setting_a_deleted_field_names_it(section, name, value):
+    with pytest.raises(ConfigError, match=f"^config.{section}.{name}: unknown field$"):
+        config_from_dict({section: {name: value}})
+
+
 def test_wrong_type_names_the_path():
     with pytest.raises(ConfigError, match="config.model.dim"):
         config_from_dict({"model": {"dim": "wide"}})

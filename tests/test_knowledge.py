@@ -9,7 +9,7 @@ from lorashear.graph import build_trace_graph, mark_composed_spans
 from lorashear.groups import discover_node_groups, partition_variables, zero_structure
 from lorashear.knowledge import analyze, probe_deviation
 from lorashear.model import ModelConfig, build_model
-from lorashear.saliency import get_saliency
+from lorashear.saliency import effective_l2
 from lorashear.util import model_hash
 
 
@@ -27,13 +27,10 @@ def probed(trained_toy):
     return model, corpus, node_groups, group_set, eval_seqs
 
 
-SAL = get_saliency("effective_l2")
-
-
 class TestProbe:
     def test_zero_ratio_gives_exactly_zero_deviation(self, probed):
         model, _, _, group_set, eval_seqs = probed
-        dev = probe_deviation(model, group_set, "blocks.0.mlp", (0.0,), eval_seqs, SAL)
+        dev = probe_deviation(model, group_set, "blocks.0.mlp", (0.0,), eval_seqs)
         assert dev == 0.0
 
     def test_dead_downstream_path_gives_zero_deviation(self, toy_model, toy_corpus):
@@ -43,14 +40,14 @@ class TestProbe:
         down = toy_model.blocks[0].down
         down.weight.data[:] = 0.0
         eval_seqs = toy_corpus.val_pool()[:6]
-        dev = probe_deviation(toy_model, group_set, "blocks.0.mlp", (0.25, 0.5), eval_seqs, SAL)
+        dev = probe_deviation(toy_model, group_set, "blocks.0.mlp", (0.25, 0.5), eval_seqs)
         assert dev == 0.0
 
     def test_model_restored_bit_identically(self, probed):
         model, _, node_groups, group_set, eval_seqs = probed
         before = model_hash(model)
         for family in node_groups.prunable_families():
-            probe_deviation(model, group_set, family.id, (0.25, 0.5), eval_seqs, SAL)
+            probe_deviation(model, group_set, family.id, (0.25, 0.5), eval_seqs)
             assert model_hash(model) == before
 
     def test_restore_corruption_is_a_hard_failure(self, probed, monkeypatch):
@@ -62,7 +59,7 @@ class TestProbe:
 
         monkeypatch.setattr("lorashear.knowledge.perplexity", corrupting_perplexity)
         with pytest.raises(CorruptionError, match="blocks.0.mlp"):
-            probe_deviation(model, group_set, "blocks.0.mlp", (0.25,), eval_seqs, SAL)
+            probe_deviation(model, group_set, "blocks.0.mlp", (0.25,), eval_seqs)
 
     def test_deviation_matches_independent_zero_and_eval_oracle(self, probed):
         # brute-force oracle: re-zero the same slices on a fresh clone and
@@ -70,14 +67,14 @@ class TestProbe:
         model, _, _, group_set, eval_seqs = probed
         family_id = "blocks.1.mlp"
         ratios = (0.25, 0.5)
-        dev = probe_deviation(model, group_set, family_id, ratios, eval_seqs, SAL)
+        dev = probe_deviation(model, group_set, family_id, ratios, eval_seqs)
 
         groups = [g for g in group_set.groups if g.node_group == family_id]
         base = perplexity(model, eval_seqs)
         expected = []
         for p in ratios:
             k = math.ceil(p * len(groups))
-            scored = sorted(groups, key=lambda g: (SAL(model, g), g.id))[:k]
+            scored = sorted(groups, key=lambda g: (effective_l2(model, g), g.id))[:k]
             clone = model.clone()
             for g in scored:
                 zero_structure(clone, group_set.by_id[g.id])
@@ -88,10 +85,10 @@ class TestProbe:
         model, _, node_groups, group_set, eval_seqs = probed
         fams = [f.id for f in node_groups.prunable_families()]
         forward_order = [
-            probe_deviation(model, group_set, f, (0.5,), eval_seqs, SAL) for f in fams
+            probe_deviation(model, group_set, f, (0.5,), eval_seqs) for f in fams
         ]
         reverse_order = [
-            probe_deviation(model, group_set, f, (0.5,), eval_seqs, SAL) for f in reversed(fams)
+            probe_deviation(model, group_set, f, (0.5,), eval_seqs) for f in reversed(fams)
         ]
         assert forward_order == list(reversed(reverse_order))
 
@@ -99,7 +96,7 @@ class TestProbe:
 def zeroed_clone_ppl(model, group_set, family_id, ratio, eval_seqs):
     """From-scratch reference: zero the probe's selection on a clone, full forward."""
     groups = [g for g in group_set.groups if g.node_group == family_id]
-    ranked = sorted(groups, key=lambda g: (SAL(model, g), g.id))
+    ranked = sorted(groups, key=lambda g: (effective_l2(model, g), g.id))
     clone = model.clone()
     for g in ranked[: math.ceil(ratio * len(groups))]:
         zero_structure(clone, g)
@@ -127,9 +124,7 @@ class TestResume:
         assert base == perplexity(model, eval_seqs)
         for family in node_groups.prunable_families():
             for ratio in RATIOS:
-                dev = probe_deviation(
-                    model, group_set, family.id, (ratio,), eval_seqs, SAL, base, residuals
-                )
+                dev = probe_deviation(model, group_set, family.id, (ratio,), eval_seqs, base, residuals)
                 expected = zeroed_clone_ppl(model, group_set, family.id, ratio, eval_seqs) - base
                 assert dev == expected, (family.id, ratio)
 
@@ -137,7 +132,7 @@ class TestResume:
         model, node_groups, group_set, eval_seqs, residuals, base = resumed
         before = [{s: h.data.copy() for s, h in chunk.items()} for chunk in residuals]
         for family in node_groups.prunable_families():
-            probe_deviation(model, group_set, family.id, (0.5, 1.0), eval_seqs, SAL, base, residuals)
+            probe_deviation(model, group_set, family.id, (0.5, 1.0), eval_seqs, base, residuals)
         for chunk, saved in zip(residuals, before):
             assert all(np.array_equal(chunk[s].data, saved[s]) for s in saved)
 

@@ -24,8 +24,8 @@ from lorashear.lhspg import (
     warmup,
 )
 from lorashear.model import next_token_loss
-from lorashear.optim import make_optimizer, train_step
-from lorashear.saliency import get_saliency
+from lorashear.optim import Sgd, train_step
+from lorashear.saliency import effective_l2
 from lorashear.tensor import Tape, Tensor
 from lorashear.util import model_hash
 
@@ -52,7 +52,7 @@ class TestTrainStep:
     ):
         model, corpus = trained_toy
         before = model_hash(model)
-        opt = make_optimizer("sgd", list(model.parameters().values()), 0.3)
+        opt = Sgd(list(model.parameters().values()), 0.3)
         monkeypatch.setattr("lorashear.optim.next_token_loss", lambda m, b: Tensor(np.nan))
         with pytest.raises(NumericError, match="pretrain step 7: divergent loss"):
             batch = corpus.sample_batch(np.random.default_rng(0), 4)
@@ -98,7 +98,7 @@ class TestSaliency:
         from lorashear.groups import zero_structure
 
         zero_structure(toy_model, g)
-        assert get_saliency("effective_l2")(toy_model, g) == 0.0
+        assert effective_l2(toy_model, g) == 0.0
 
     def test_duplicated_groups_score_identically(self, toy_model):
         _, group_set = structures(toy_model)
@@ -108,8 +108,7 @@ class TestSaliency:
         from lorashear.groups import write_frozen_slices
 
         write_frozen_slices(toy_model, b, va)
-        sal = get_saliency("effective_l2")
-        assert sal(toy_model, a) == sal(toy_model, b)
+        assert effective_l2(toy_model, a) == effective_l2(toy_model, b)
 
     def test_matches_brute_force_recompute_from_dumped_tensors(self, trained_toy):
         model, corpus = trained_toy
@@ -118,7 +117,6 @@ class TestSaliency:
         _, group_set = structures(model)
         params = {n: t.data.copy() for n, t in model.parameters().items()}
         gamma = model.config.lora_gamma
-        sal = get_saliency("effective_l2")
         for gid in ("blocks.0.attn:head:001", "blocks.1.mlp:ch:017"):
             g = group_set.by_id[gid]
             parts = []
@@ -131,7 +129,7 @@ class TestSaliency:
                 parts.append(sl.ravel())
             v = np.concatenate(parts)
             expected = float(np.linalg.norm(v)) / np.sqrt(v.size)
-            assert sal(model, g) == pytest.approx(expected, rel=1e-12)
+            assert effective_l2(model, g) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSelect:
@@ -281,7 +279,7 @@ class TestRun:
 
         rng = np.random.default_rng(np.random.SeedSequence([SEED, 0x1A5B]))
         twin.set_trainable("lora")
-        opt = make_optimizer("sgd", list(twin.lora_parameters().values()), config.learning_rate)
+        opt = Sgd(list(twin.lora_parameters().values()), config.learning_rate)
         for _ in range(config.warmup_steps):
             opt.zero_grad()
             with Tape() as tape:
@@ -294,7 +292,7 @@ class TestRun:
                 with Tape() as tape:
                     loss = next_token_loss(twin, corpus.sample_batch(rng, config.batch_size))
                 tape.backward(loss)
-                opt.step(config.learning_rate)
+                opt.step()
             twin.merge_all_lora()
         assert model_hash(model) == model_hash(twin)
 

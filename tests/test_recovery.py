@@ -121,8 +121,10 @@ class TestBuildSubset:
 
     def test_overdrawn_source_rejected(self):
         corpus = constant_corpus({"a": 5, "b": 80})
-        with pytest.raises(ConfigError, match="training sequences"):
+        with pytest.raises(ConfigError, match="training sequences") as err:
             build_subset(corpus, {"a": 9.0, "b": 0.0}, 40, 0.0, np.random.default_rng(2))
+        assert "config.recovery.subset_size" in str(err.value)
+        assert "config.data.train_sequences_per_source" in str(err.value)
 
 
 class TestDegradation:

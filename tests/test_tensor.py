@@ -574,11 +574,11 @@ class TestFreedMemoryStaysInProcess:
     def test_train_steps_reuse_freed_memory(self, toy_model, toy_corpus, trainable):
         # under glibc's malloc defaults these 20 steps fault in over 10 000 fresh pages
         resource = pytest.importorskip("resource")
-        from lorashear.optim import make_optimizer, train_step
+        from lorashear.optim import Sgd, train_step
 
         toy_model.set_trainable(trainable)
         params = [t for t in toy_model.parameters().values() if t.requires_grad]
-        opt = make_optimizer("sgd", params, 1e-3)
+        opt = Sgd(params, 1e-3)
         rng = np.random.default_rng(0)
         batches = [toy_corpus.sample_batch(rng, 8) for _ in range(23)]
         assert batches[0].shape == (8, 49)  # 8x48 input tokens
@@ -610,7 +610,7 @@ class TestStepPeakMemory:
         from lorashear.optim import lora_optimizer, train_step
 
         toy_model.set_trainable("lora")
-        opt = lora_optimizer(toy_model, "sgd", 1e-3)
+        opt = lora_optimizer(toy_model, 1e-3)
         rng = np.random.default_rng(0)
         batches = [toy_corpus.sample_batch(rng, 8) for _ in range(4)]
         assert batches[0].shape == (8, 49)  # 8x48 input tokens
@@ -627,11 +627,11 @@ class TestStepPeakMemory:
     def test_all_trainable_step_peaks_below_12_mib(self, toy_model, toy_corpus):
         # backward frees each op's activations once it has run: about 9.1 MiB;
         # a tape kept whole until the step ends peaks at about 16.9 MiB
-        from lorashear.optim import make_optimizer, train_step
+        from lorashear.optim import Sgd, train_step
 
         toy_model.set_trainable("all")
         params = [t for t in toy_model.parameters().values() if t.requires_grad]
-        opt = make_optimizer("sgd", params, 1e-3)
+        opt = Sgd(params, 1e-3)
         rng = np.random.default_rng(0)
         batches = [toy_corpus.sample_batch(rng, 8) for _ in range(4)]
         assert batches[0].shape == (8, 49)  # 8x48 input tokens
