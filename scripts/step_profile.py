@@ -7,9 +7,10 @@ Prints one JSON line per case: a LoRA-only ``train_step``, an all-trainable
 ``train_step`` (both SGD) and a no-grad forward of the next-token loss. Each
 line gives the median wall time in ms over ``--steps`` calls after
 ``--warmup`` untimed ones, the tracemalloc peak in MiB of one further
-call, counted from the memory traced just before it, and ``saved_mib``: the
+call, counted from the memory traced just before it, ``saved_mib``: the
 traced MiB a forward of the same batch on a ``Tape`` still holds before
-backward, which is what the recorded backward rules keep. ``toy`` is the built-in
+backward, which is what the recorded backward rules keep, and ``tape_ops``:
+the ops that forward records (0 without grad). ``toy`` is the built-in
 model at 8x48 tokens; ``wide`` is perfbench's wide-run-all model (dim 128,
 8 heads, 256 MLP channels) at 4x96 tokens; ``tiny`` is a seconds-long smoke
 shape. Timings depend on the host and its BLAS; peaks do not.
@@ -52,13 +53,14 @@ def _case_fn(model, case: str):
     return lambda batch: train_step(model, batch, opt, where=case)
 
 
-def saved_bytes(model, batch) -> int:
-    """Traced bytes a forward on a tape holds until backward, the loss included."""
+def taped_forward(model, batch) -> tuple[int, int]:
+    """Traced bytes a forward on a tape holds until backward, the loss included,
+    and the number of ops it records."""
     tracemalloc.start()
     try:
         with Tape() as tape:
             loss = next_token_loss(model, batch)
-        return tracemalloc.get_traced_memory()[0]
+        return tracemalloc.get_traced_memory()[0], len(tape.ops)
     finally:
         tracemalloc.stop()
 
@@ -85,10 +87,11 @@ def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        saved, ops = taped_forward(model, batches[-1])
         rows.append({"shape": shape, "case": case, "steps": steps,
                      "median_ms": round(statistics.median(times) * 1e3, 3),
                      "peak_mib": round(peak / 2**20, 3),
-                     "saved_mib": round(saved_bytes(model, batches[-1]) / 2**20, 3)})
+                     "saved_mib": round(saved / 2**20, 3), "tape_ops": ops})
     return rows
 
 

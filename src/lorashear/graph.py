@@ -13,7 +13,9 @@ queries, softmax, value contraction); the surrounding ``reshape`` nodes make
 head structure explicit so head grouping is derivable from the graph alone.
 
 ``execute`` replays the graph in topological order through the same engine
-helpers the model's own forward uses, so the result is bit-identical to
+ops the model's own forward uses: a ``softmax`` node runs
+``tensor.causal_attention``, which splits and merges the heads itself, so
+its ``reshape`` nodes pass their input through. The result is bit-identical to
 ``model.forward`` whenever the graph is faithful, and the adaptors require
 grad or have zero B factors. (Without grad, ``lora_linear`` folds each adaptor
 into its host weight, which agrees with the unfolded spans to rounding.)
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import AnalysisError
-from .model import LoraModel, causal_attention_mix, merge_heads, split_heads
+from .model import LoraModel
 from .tensor import Tensor
 
 
@@ -192,7 +194,7 @@ def mark_composed_spans(graph: TraceGraph) -> list[ComposedSpan]:
 
 
 def execute(graph: TraceGraph, model: LoraModel, tokens: np.ndarray) -> Tensor:
-    """Run the graph in topological order through the model's own helpers.
+    """Run the graph in topological order through the model's own ops.
 
     Bit-identical to ``model.forward`` when the graph is faithful and the
     adaptors require grad or have zero B factors. A grad-free model with
@@ -231,12 +233,10 @@ def execute(graph: TraceGraph, model: LoraModel, tokens: np.ndarray) -> Tensor:
         elif node.kind == "rmsnorm":
             env[nid] = T.rmsnorm(preds[0], params[node.param])
         elif node.kind == "reshape":
-            if nid.endswith(".merge"):
-                env[nid] = merge_heads(preds[0])
-            else:
-                env[nid] = split_heads(preds[0], node.attr("heads"), node.attr("head_dim"))
+            # head split and merge happen inside causal_attention
+            env[nid] = preds[0]
         elif node.kind == "softmax":
-            env[nid] = causal_attention_mix(*preds, head_dim=node.attr("head_dim"))
+            env[nid] = T.causal_attention(*preds, node.attr("heads"))
         elif node.kind == "head":
             env[nid] = T.linear(preds[0], params[node.param])
         else:

@@ -1,7 +1,8 @@
 """Toy decoder-only transformer with low-rank adaptors on every projection.
 
 The block wiring is the usual pre-norm decoder: rmsnorm -> attention
-(q/k/v into o, per-head causal mixing) -> residual add -> rmsnorm ->
+(q/k/v projections into ``tensor.causal_attention``, one op for the per-head
+causal mixing, then o) -> residual add -> rmsnorm ->
 gated MLP (silu(gate) * up into down) -> residual add. Positions use a
 learned absolute embedding. Every projection except the output head is a
 ``LoraLinear``: a frozen host weight plus trainable factors A (rank x in)
@@ -126,30 +127,6 @@ class Block:
             "mlp.up": self.up,
             "mlp.down": self.down,
         }
-
-
-def split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
-    """(B, T, H*dh) -> (B, H, T, dh) via reshape + transpose."""
-    b, t, _ = x.shape
-    return T.transpose(T.reshape(x, (b, t, n_heads, head_dim)), (0, 2, 1, 3))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(B, H, T, dh) -> (B, T, H*dh)."""
-    b, h, t, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
-
-
-def causal_attention_mix(qh: Tensor, kh: Tensor, vh: Tensor, head_dim: int) -> Tensor:
-    """Per-head causal attention: scaled queries, scores, softmax, value mixing.
-
-    The 1/sqrt(head_dim) scale goes on q (B, H, T, dh), not on the
-    (B, H, T, T) scores, which are larger whenever T > dh.
-    """
-    scaled_q = T.scale(qh, 1.0 / math.sqrt(head_dim))
-    scores = T.matmul(scaled_q, T.transpose(kh, (0, 1, 3, 2)))
-    probs = T.softmax(scores, causal=True)
-    return T.matmul(probs, vh)
 
 
 class LoraModel:
@@ -313,11 +290,8 @@ class LoraModel:
         if blk.n_heads == 0:
             # every head structurally removed: attention contributes nothing
             return T.scale(h, 0.0)
-        qh = split_heads(blk.q.apply(h), blk.n_heads, blk.head_dim)
-        kh = split_heads(blk.k.apply(h), blk.n_heads, blk.head_dim)
-        vh = split_heads(blk.v.apply(h), blk.n_heads, blk.head_dim)
-        ctx = causal_attention_mix(qh, kh, vh, blk.head_dim)
-        return blk.o.apply(merge_heads(ctx))
+        ctx = T.causal_attention(blk.q.apply(h), blk.k.apply(h), blk.v.apply(h), blk.n_heads)
+        return blk.o.apply(ctx)
 
     def _mlp(self, blk: Block, h: Tensor) -> Tensor:
         if blk.mlp_dim == 0:

@@ -3,16 +3,21 @@
 Just enough machinery to train and evaluate the toy transformer: row-major
 contiguous float64 arrays, a recording tape, and backward rules for the
 handful of ops the model needs. No views, no strides, no broadcasting beyond
-what the ops below define internally.
+what the ops below define internally. Two ops fuse what would otherwise be
+several: ``lora_linear`` (a host weight plus its adaptor) and
+``causal_attention`` (head split, query scale, scores, causal softmax, value
+mixing and head merge, one tape op where the separate ops recorded 13).
 
 Ops record onto the innermost active ``Tape`` only when the result requires
 grad; evaluation without a tape is plain numpy and allocates nothing extra.
 A tensor's gradient lives in a small ``Grad`` cell of its own, and a recorded
 backward closure may hold only two kinds of thing: the gradient cells of its
 output and of the inputs that require grad, and the arrays its own rule
-reads (``probs`` for softmax, ``sig`` and ``x`` for silu, never the scores
-or a projection's output). It never holds a whole ``Tensor``, so add, scale,
-reshape, transpose and embedding lookup pin no activation at all.
+reads (``probs`` for softmax; ``probs``, the scaled queries ``sq``, the
+transposed keys ``kt`` and the per-head values ``vh`` for causal attention;
+``sig`` and ``x`` for silu; never the scores or a projection's output). It
+never holds a whole ``Tensor``, so add, scale, reshape, transpose and
+embedding lookup pin no activation at all.
 ``Tape.backward`` consumes the tape: it pops each op before running its
 backward rule, so what only that op's closure held is freed while the pass
 goes on, and a step never holds all of it at once. An intermediate tensor
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -428,28 +434,33 @@ def _causal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return keep, masked
 
 
-def softmax(x: Tensor, causal: bool = False) -> Tensor:
-    """Softmax over the last axis; ``causal`` masks j > i over the last two axes.
+def _causal_probs(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of (..., n, n) scores with j > i masked, in place.
 
     Masked positions are never read: the row maximum, the shift and the exp
     see only the kept entries, and the masked ones are then set to exactly
     +0.0. That is bitwise the result of exponentiating -inf there, but exp
     never takes its slow path for infinities, and no masked value can
-    overflow. Backward keeps the probabilities, not the scores.
+    overflow. A row whose largest kept score is not finite (finite queries
+    and keys whose product overflowed, or a NaN) raises here rather than
+    surfacing later as a NaN in some other op.
     """
+    keep, masked = _causal_masks(scores.shape[-1])
+    row_max = np.maximum.reduce(scores, axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    if not np.isfinite(row_max).all():
+        raise NumericError("causal_attention: non-finite attention scores")
+    np.subtract(scores, row_max, out=scores, where=keep)
+    np.exp(scores, out=scores, where=keep)
+    np.copyto(scores, 0.0, where=masked)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis; backward keeps the probabilities, not the scores."""
     _check_finite("softmax", x)
-    probs = np.empty_like(x.data)
-    if causal:
-        if x.data.ndim < 2 or x.shape[-1] != x.shape[-2]:
-            raise ShapeError(f"softmax: causal mask needs square last axes, got {x.shape}")
-        keep, masked = _causal_masks(x.shape[-1])
-        row_max = np.maximum.reduce(x.data, axis=-1, keepdims=True, where=keep, initial=-np.inf)
-        np.subtract(x.data, row_max, out=probs, where=keep)
-        np.exp(probs, out=probs, where=keep)
-        np.copyto(probs, 0.0, where=masked)
-    else:
-        np.subtract(x.data, x.data.max(axis=-1, keepdims=True), out=probs)
-        np.exp(probs, out=probs)
+    probs = np.subtract(x.data, x.data.max(axis=-1, keepdims=True))
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out = Tensor(probs, requires_grad=x.requires_grad)
 
@@ -458,6 +469,70 @@ def softmax(x: Tensor, causal: bool = False) -> Tensor:
         cx.accumulate(probs * (g - inner))
 
     return _record("softmax", (x,), out, rule)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention of (B, T, dim) projections, as one tape op.
+
+    Each projection splits into ``n_heads`` heads of ``dim // n_heads``
+    channels. The 1/sqrt(head_dim) scale goes on the queries, not on the
+    (T, T) scores, which are larger whenever T > head_dim; the scores take
+    the causal softmax, mix the values, and the heads merge back into a
+    (B, T, dim) context. The arithmetic and operand layouts are those of the
+    separate reshape, transpose, scale, matmul and softmax ops, so the
+    result and every gradient are bitwise theirs.
+
+    Backward keeps the probabilities P, the scaled queries, the transposed
+    keys and the per-head values, each only for the gradients that read it,
+    and forms dS = P * (dP - rowsum(dP * P)) in dP's own buffer.
+    """
+    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"causal_attention: q, k and v must share one (B, T, dim) shape, "
+            f"got {q.shape}, {k.shape} and {v.shape}"
+        )
+    b, t, dim = q.shape
+    if n_heads < 1 or dim % n_heads:
+        raise ShapeError(f"causal_attention: dim {dim} does not split into {n_heads} heads")
+    _check_finite("causal_attention", q, k, v)
+    dh = dim // n_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(x: np.ndarray, axes: tuple[int, ...] = (0, 2, 1, 3)) -> np.ndarray:
+        return x.reshape(b, t, n_heads, dh).transpose(axes)
+
+    def heads(x: np.ndarray, axes: tuple[int, ...] = (0, 2, 1, 3)) -> np.ndarray:
+        # a view of x itself when that is already contiguous: never written to
+        return np.ascontiguousarray(split(x, axes))
+
+    def merged(x: np.ndarray) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(b, t, dim)
+
+    sq = np.multiply(split(q.data), c, order="C")
+    kt = heads(k.data, (0, 2, 3, 1))
+    vh = heads(v.data)
+    probs = _causal_probs(sq @ kt)
+    out = Tensor(merged(probs @ vh), requires_grad=_needs(q, k, v))
+    # each array is kept only for the gradients that read it
+    sq = sq if k.requires_grad else None
+    kt = kt if q.requires_grad else None
+    vh = vh if q.requires_grad or k.requires_grad else None
+
+    def rule(g, cq, ck, cv):
+        g_ctx = heads(g)
+        if cv is not None:
+            cv.accumulate(merged(probs.swapaxes(-1, -2) @ g_ctx))
+        if cq is None and ck is None:
+            return
+        ds = g_ctx @ vh.swapaxes(-1, -2)
+        ds -= np.sum(ds * probs, axis=-1, keepdims=True)
+        ds *= probs
+        if cq is not None:
+            cq.accumulate(merged((ds @ kt.swapaxes(-1, -2)) * c))
+        if ck is not None:
+            ck.accumulate((sq.swapaxes(-1, -2) @ ds).transpose(0, 3, 1, 2).reshape(b, t, dim))
+
+    return _record("causal_attention", (q, k, v), out, rule)
 
 
 def silu(x: Tensor) -> Tensor:

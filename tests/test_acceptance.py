@@ -111,7 +111,10 @@ def test_criterion_1_gradient_correctness():
     check(lambda a: T.linear(a["x"], a["w"]), {"x": r(3, 4), "w": r(5, 4)}, (3, 5))
     check(lambda a: T.silu(a["x"]), {"x": r(4, 4)}, (4, 4))
     check(lambda a: T.softmax(a["x"]), {"x": r(3, 5)}, (3, 5))
-    check(lambda a: T.softmax(a["x"], causal=True), {"x": r(2, 4, 4)}, (2, 4, 4))
+    check(lambda a: T.causal_attention(a["q"], a["k"], a["v"], 2),
+          {"q": r(2, 4, 6), "k": r(2, 4, 6), "v": r(2, 4, 6)}, (2, 4, 6))
+    q, v = Tensor(r(2, 4, 6)), Tensor(r(2, 4, 6))
+    check(lambda a: T.causal_attention(q, a["k"], v, 2), {"k": r(2, 4, 6)}, (2, 4, 6))
     check(lambda a: T.rmsnorm(a["x"], a["g"]), {"x": r(3, 6), "g": r(6)}, (3, 6))
     check(lambda a: T.transpose(T.reshape(a["x"], (2, 6)), (1, 0)), {"x": r(3, 4)}, (6, 2))
     ids = np.array([[0, 2], [1, 1]])

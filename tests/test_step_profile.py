@@ -21,3 +21,11 @@ def test_prints_one_json_line_per_case(capsys):
         assert row["shape"] == "tiny" and row["steps"] == 2
         assert row["median_ms"] > 0 and row["peak_mib"] > 0
         assert 0 <= row["saved_mib"] <= row["peak_mib"]
+
+
+def test_toy_forward_records_one_attention_op_per_block():
+    # attention is one op per block; as 13 separate head split, q scale,
+    # transpose, matmul, softmax and head merge ops the LoRA-only forward took 54
+    rows = _load().profile("toy", steps=1, warmup=0)
+    assert {r["case"]: r["tape_ops"] for r in rows} == {
+        "lora_step": 30, "all_step": 34, "nograd_forward": 0}

@@ -51,9 +51,12 @@ class TestForwardOps:
         assert np.allclose(out.data, [1 / 3] * 3, rtol=0, atol=1e-15)
 
     def test_softmax_causal_mask(self):
-        out = T.softmax(Tensor(np.zeros((3, 3))), causal=True)
-        assert np.allclose(out.data[0], [1.0, 0.0, 0.0], atol=0)
-        assert np.allclose(out.data[2], [1 / 3] * 3, atol=1e-15)
+        # equal scores: position i averages the values at 0..i, never a later one
+        v = np.arange(6.0).reshape(1, 3, 2)
+        zeros = Tensor(np.zeros((1, 3, 2)))
+        out = T.causal_attention(zeros, zeros, Tensor(v), 1).data
+        assert np.array_equal(out[0, 0], v[0, 0])
+        assert np.allclose(out[0, 2], v[0].mean(axis=0), rtol=0, atol=1e-15)
 
     def test_rmsnorm_all_equal_vector(self):
         for c in (1.0, 3.0, 0.5):
@@ -244,8 +247,10 @@ class TestGradcheckEveryOp:
         _gradcheck(lambda a: T.softmax(a["x"]), {"x": rand(rng, 3, 5)})
 
     def test_softmax_causal(self):
+        # the causal softmax's gradient, through the attention op that holds it
         rng = np.random.default_rng(9)
-        _gradcheck(lambda a: T.softmax(a["x"], causal=True), {"x": rand(rng, 2, 4, 4)})
+        _gradcheck(lambda a: T.causal_attention(a["q"], a["k"], a["v"], 2),
+                   {name: rand(rng, 2, 4, 6) for name in "qkv"})
 
     def test_rmsnorm(self):
         rng = np.random.default_rng(10)
@@ -381,7 +386,7 @@ class TestCausalSoftmax:
         ref = _causal_softmax_reference(x)
         above = np.triu(np.ones(x.shape[-2:], dtype=bool), k=1)
         with np.errstate(all="raise"):
-            out = T.softmax(Tensor(x), causal=True).data
+            out = T._causal_probs(x.copy())
         assert np.array_equal(out, ref)
         masked = out[..., above]
         assert np.array_equal(masked, np.zeros_like(masked)) and not np.signbit(masked).any()
@@ -401,16 +406,85 @@ class TestCausalSoftmax:
 
     def test_one_by_one(self):
         self._check(np.array([[-4.5]]))
-        assert T.softmax(Tensor([[[7.0]]]), causal=True).data.tolist() == [[[1.0]]]
+        assert T._causal_probs(np.array([[[7.0]]])).tolist() == [[[1.0]]]
 
     def test_masked_positions_get_zero_gradient(self):
+        # the outputs before position t never read the keys or values at t or later
         rng = np.random.default_rng(36)
-        x = Tensor(rand(rng, 2, 4, 4), requires_grad=True)
-        x.data[:, 0, 3] = 1e308
+        for t in (1, 2, 3):
+            q, k, v = (Tensor(rand(rng, 2, 4, 6), requires_grad=True) for _ in range(3))
+            weights = rand(rng, 2, 4, 6)
+            weights[:, t:] = 0.0
+            with Tape() as tape:
+                loss = _sum_all(T.mul(T.causal_attention(q, k, v, 2), Tensor(weights)))
+            tape.backward(loss)
+            assert np.all(np.any(v.grad[:, :t], axis=-1))
+            assert not np.any(k.grad[:, t:]) and not np.any(v.grad[:, t:])
+
+
+def _attention_reference(q, k, v, n_heads, g):
+    """Separate-op attention arithmetic: the output, then the q, k, v gradients for g."""
+    b, t, dim = q.shape
+    dh = dim // n_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(x):
+        return np.ascontiguousarray(x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(x):
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, t, dim)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    sq = qh * c
+    kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    probs = _causal_softmax_reference(sq @ kt)
+    g_ctx = split(g)
+    dp = g_ctx @ vh.swapaxes(-1, -2)
+    ds = probs * (dp - np.sum(dp * probs, axis=-1, keepdims=True))
+    dkh = np.ascontiguousarray((sq.swapaxes(-1, -2) @ ds).transpose(0, 1, 3, 2))
+    return (merge(probs @ vh), merge((ds @ kt.swapaxes(-1, -2)) * c), merge(dkh),
+            merge(probs.swapaxes(-1, -2) @ g_ctx))
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("b,t,dim,n_heads", [(2, 5, 6, 2), (1, 1, 4, 4), (3, 7, 8, 1)])
+    def test_equals_separate_op_arithmetic_bitwise(self, b, t, dim, n_heads):
+        rng = np.random.default_rng(dim * t)
+        q, k, v = (Tensor(rand(rng, b, t, dim), requires_grad=True) for _ in range(3))
+        g = rand(rng, b, t, dim)
         with Tape() as tape:
-            loss = _sum_all(T.mul(T.softmax(x, causal=True), Tensor(rand(rng, 2, 4, 4))))
+            out = T.causal_attention(q, k, v, n_heads)
+            loss = _sum_all(T.mul(out, Tensor(g)))
+        ref = _attention_reference(q.data, k.data, v.data, n_heads, g)
+        assert np.array_equal(out.data, ref[0])
         tape.backward(loss)
-        assert not np.any(x.grad[:, np.triu(np.ones((4, 4), dtype=bool), k=1)])
+        for got, want in zip((q.grad, k.grad, v.grad), ref[1:]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(T.causal_attention(Tensor(q.data), Tensor(k.data), Tensor(v.data),
+                                                 n_heads).data, ref[0])
+
+    @pytest.mark.parametrize("shapes,n_heads", [
+        (((2, 3, 6),) * 3, 4),
+        (((2, 3, 6),) * 3, 0),
+        (((2, 3, 6), (2, 3, 6), (2, 4, 6)), 2),
+        (((2, 3, 6), (2, 3, 4), (2, 3, 6)), 2),
+        (((3, 6),) * 3, 2),
+    ], ids=["dim-not-divisible", "zero-heads", "k-length-differs", "k-dim-differs", "2-d"])
+    def test_bad_shapes_raise_shape_error(self, shapes, n_heads):
+        with pytest.raises(ShapeError, match="causal_attention"):
+            T.causal_attention(*(Tensor(np.zeros(s)) for s in shapes), n_heads)
+
+    def test_nan_query_rejected_with_op_name(self):
+        q = np.zeros((1, 3, 4))
+        q[0, 1, 2] = np.nan
+        with pytest.raises(NumericError, match="causal_attention"):
+            T.causal_attention(Tensor(q), Tensor(np.ones((1, 3, 4))), Tensor(np.ones((1, 3, 4))), 2)
+
+    def test_overflowing_scores_rejected_with_op_name(self):
+        # finite queries and keys whose scores overflow fail here, not in a later op
+        big = Tensor(np.full((1, 3, 4), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="causal_attention"):
+            T.causal_attention(big, big, Tensor(np.ones((1, 3, 4))), 2)
 
 
 class TestFirstTouchGrad:
@@ -491,15 +565,26 @@ class TestProperties:
             seen.add(op.output_id)
 
 
+def _rule_arrays(op) -> dict:
+    """The arrays a recorded op's backward rule holds, by the names it reads them under."""
+
+    def free(fn) -> dict:
+        return {n: c.cell_contents for n, c in zip(fn.__code__.co_freevars, fn.__closure__)}
+
+    return {n: x for n, x in free(free(op.backward)["rule"]).items() if isinstance(x, np.ndarray)}
+
+
 class TestSavedForBackward:
     def test_block_forward_pins_only_what_backward_reads(self, tiny_config, monkeypatch):
         from lorashear.model import build_model, next_token_loss
 
-        made = defaultdict(list)  # op name -> weakrefs to its outputs' arrays, in call order
-        for name in ("lora_linear", "transpose", "matmul", "softmax"):
+        # op name -> weakrefs to the arrays owning its outputs' memory, in call order
+        made = defaultdict(list)
+        for name in ("lora_linear", "causal_attention"):
             def spy(*args, _op=getattr(T, name), _name=name, **kwargs):
                 out = _op(*args, **kwargs)
-                made[_name].append(weakref.ref(out.data))
+                base = out.data.base
+                made[_name].append(weakref.ref(out.data if base is None else base))
                 return out
             monkeypatch.setattr(T, name, spy)
         model = build_model(tiny_config)
@@ -509,16 +594,19 @@ class TestSavedForBackward:
         with Tape() as tape:
             loss = next_token_loss(model, batch)
         q, k, v, o, gate, up, down = made["lora_linear"]
-        qh, kh, vh, k_t, merged = made["transpose"]
-        scores, ctx = made["matmul"]
-        (probs,) = made["softmax"]
-        for ref in (q, k, v, o, down, qh, kh, scores, ctx):
+        (context,) = made["causal_attention"]
+        (attention,) = [op for op in tape.ops if op.name == "causal_attention"]
+        kept = {name: weakref.ref(a) for name, a in _rule_arrays(attention).items()}
+        del attention
+        assert sorted(kept) == ["kt", "probs", "sq", "vh"]
+        for ref in (q, k, v, o, down):
             assert ref() is None
-        # read by silu, mul, the two matmuls and o's adaptor (its input, the merged heads)
-        for ref in (gate, up, vh, k_t, probs, merged):
+        # read by silu, mul, o's adaptor (its input, the merged context) and the attention rule
+        for ref in (gate, up, context, *kept.values()):
             assert ref() is not None
         tape.backward(loss)
-        assert all(ref() is None for refs in made.values() for ref in refs)
+        refs = [*kept.values(), *(ref for refs in made.values() for ref in refs)]
+        assert all(ref() is None for ref in refs)
 
     def test_resized_parameter_takes_gradients_of_its_new_shape(self):
         rng = np.random.default_rng(31)
