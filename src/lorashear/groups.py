@@ -1,30 +1,41 @@
 """Minimally removal structure discovery over the trace graph.
 
-Dependency closure is computed by flowing channel "spaces" along the graph:
-every linear-like node opens a fresh space on its output rows and binds its
-input columns to the incoming space; elementwise ops (add, mul, silu) union
-the spaces of their operands; rmsnorm binds its gain and passes through; the
-head split/mix/merge trio tags the flowing space as head-granular. LoRA
-factors bind into the same spaces through their host's add node, which is
-what puts a lora_B node in two groups at once: its composed span and the
-basic dependency class of its host's output.
+The graph is the recorded forward (``graph.build_trace_graph``). Each tape-op
+name has one coupling row below saying which channel spaces the op ties
+together: the output channels of every op, and the axes of the parameters
+it reads. One union-find over those spaces gives the dependency classes:
+- ``lora_linear`` ties W's and B's rows to its output channels, and W's and
+  A's columns to its input channels; the rank space (A's rows, B's columns)
+  is never tied, so it is never a group. ``linear`` is the same without the
+  adaptor.
+- ``add``, ``mul``, ``silu`` and ``scale`` tie channels elementwise.
+- ``causal_attention`` ties the channels of q, k, v and its output, and
+  makes the class head-granular with the recorded ``n_heads``.
+- ``embedding_lookup`` and ``rmsnorm`` tie their output channels to the
+  table's columns or the gain, and mark the class unprunable, as does the
+  forward's output (the residual stream and the vocabulary are never
+  pruned).
+Any other op raises ``AnalysisError``.
 
-Each resulting class is one *node group*. Classes touching embeddings, norm
-gains, or the output head are unprunable by construction (the residual
-stream and the vocabulary dimension are never pruned). Prunable classes
-partition into structure groups: one per MLP channel or attention head, each
-a set of (tensor, axis, indices) slices that must be removed together.
+Each class holding a parameter axis is one basic *node group*. Each adapted
+``lora_linear`` op adds a composed group of its A columns and B rows, linked
+to the two basic classes those sit in, so a B factor is in two groups at
+once. Prunable classes partition into structure groups: one per MLP channel
+or attention head, each a set of (tensor, axis, indices) slices that must be
+removed together.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .artifacts import write_json
 from .errors import AnalysisError
-from .graph import ComposedSpan, TraceGraph
+from .graph import TraceGraph
 from .model import LoraModel
 
 
@@ -47,11 +58,7 @@ class NodeGroup:
     n_units: int
     unit_width: int
     members: list[Member]
-    through: tuple[str, ...] = ()
     links: dict[str, str] = field(default_factory=dict)  # composed: side -> basic id
-
-    def member_nodes(self) -> set[str]:
-        return {m.node_id for m in self.members}
 
 
 @dataclass
@@ -120,187 +127,137 @@ class GroupSet:
 
 class _UnionFind:
     def __init__(self):
-        self.parent: dict[str, str] = {}
+        self.parent: dict = {}
 
-    def make(self, key: str) -> str:
-        self.parent.setdefault(key, key)
-        return key
-
-    def find(self, key: str) -> str:
-        root = key
+    def find(self, key):
+        root = self.parent.setdefault(key, key)
         while self.parent[root] != root:
             root = self.parent[root]
         while self.parent[key] != root:
             self.parent[key], key = root, self.parent[key]
         return root
 
-    def union(self, a: str, b: str) -> str:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically smaller root for determinism
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-        return ra
+    def union(self, *keys) -> None:
+        root = self.find(keys[0])
+        for key in keys[1:]:
+            self.parent[self.find(key)] = root
 
 
-def discover_node_groups(graph: TraceGraph, spans: list[ComposedSpan]) -> NodeGroups:
-    """Build basic dependency classes and composed span groups (with links)."""
+@dataclass(frozen=True)
+class _Coupling:
+    """How one tape op couples channels: ``ties(out, *inputs, *params)`` lists the
+    spaces it ties together, an activation being its channels' space and a
+    parameter axis ``(name, axis)``; ``mark`` is what the op says of its
+    output's class."""
+
+    n_inputs: int
+    n_params: int
+    ties: Callable[..., tuple[tuple, ...]]
+    mark: str = ""  # "" | "unprunable" | "heads"
+
+
+def _elementwise(n_inputs: int) -> _Coupling:
+    return _Coupling(n_inputs, 0, lambda out, *xs: ((out, *xs),))
+
+
+COUPLING = {
+    "lora_linear": _Coupling(
+        1, 3, lambda out, x, w, a, b: ((out, (w, 0), (b, 0)), (x, (w, 1), (a, 1)))
+    ),
+    "linear": _Coupling(1, 1, lambda out, x, w: ((out, (w, 0)), (x, (w, 1)))),
+    "add": _elementwise(2),
+    "mul": _elementwise(2),
+    "silu": _elementwise(1),
+    "scale": _elementwise(1),
+    "causal_attention": _Coupling(3, 0, lambda out, q, k, v: ((out, q, k, v),), "heads"),
+    "embedding_lookup": _Coupling(0, 1, lambda out, table: ((out, (table, 1)),), "unprunable"),
+    "rmsnorm": _Coupling(1, 1, lambda out, x, gain: ((out, x, (gain, 0)),), "unprunable"),
+}
+
+
+def discover_node_groups(graph: TraceGraph) -> NodeGroups:
+    """Basic dependency classes and composed adaptor groups (with links)."""
     uf = _UnionFind()
-    out_space: dict[str, str] = {}
-    bindings: dict[str, list[Member]] = {}
-    through: dict[str, list[str]] = {}
-    head_tag: dict[str, tuple[int, int]] = {}
-    rank_spaces: set[str] = set()
+    members: list[Member] = []
+    unprunable = [graph.output]
+    heads: list[tuple[str, int]] = []
+    for node in graph.nodes:
+        rule = COUPLING.get(node.kind)
+        if rule is None:
+            raise AnalysisError(f"no coupling rule for op {node.kind!r} (node {node.id})")
+        if (len(node.inputs), len(node.params)) != (rule.n_inputs, rule.n_params):
+            raise AnalysisError(
+                f"op {node.id} reads {len(node.inputs)} activations and {len(node.params)} "
+                f"parameters, not {rule.n_inputs} and {rule.n_params}"
+            )
+        for tie in rule.ties(node.id, *node.inputs, *node.params):
+            uf.union(*tie)
+            members += [Member(node.id, *key) for key in tie if isinstance(key, tuple)]
+        if rule.mark == "unprunable":
+            unprunable.append(node.id)
+        elif rule.mark == "heads":
+            heads.append((node.id, node.attrs["n_heads"]))
 
-    def bind(space: str, member: Member) -> None:
-        bindings.setdefault(uf.find(space), []).append(member)
-
-    def fresh(node_id: str) -> str:
-        return uf.make(f"space:{node_id}")
-
-    for nid in graph.topological_order():
-        node = graph.nodes[nid]
-        preds = graph.inputs[nid]
-        if node.kind == "embedding":
-            space = fresh(nid)
-            bind(space, Member(nid, node.param, 1))
-            out_space[nid] = space
-        elif node.kind in ("linear", "head"):
-            in_space = uf.find(out_space[preds[0]])
-            bind(in_space, Member(nid, node.param, 1))
-            space = fresh(nid)
-            bind(space, Member(nid, node.param, 0))
-            out_space[nid] = space
-        elif node.kind == "lora_A":
-            in_space = uf.find(out_space[preds[0]])
-            bind(in_space, Member(nid, node.param, 1))
-            space = fresh(nid)
-            rank_spaces.add(space)
-            bind(space, Member(nid, node.param, 0))
-            out_space[nid] = space
-        elif node.kind == "lora_B":
-            rank_space = uf.find(out_space[preds[0]])
-            bind(rank_space, Member(nid, node.param, 1))
-            space = fresh(nid)
-            bind(space, Member(nid, node.param, 0))
-            out_space[nid] = space
-        elif node.kind in ("add", "mul"):
-            space = uf.union(uf.find(out_space[preds[0]]), uf.find(out_space[preds[1]]))
-            through.setdefault(space, []).append(nid)
-            out_space[nid] = space
-        elif node.kind == "silu":
-            space = uf.find(out_space[preds[0]])
-            through.setdefault(space, []).append(nid)
-            out_space[nid] = space
-        elif node.kind == "rmsnorm":
-            space = uf.find(out_space[preds[0]])
-            bind(space, Member(nid, node.param, 0))
-            through.setdefault(space, []).append(nid)
-            out_space[nid] = space
-        elif node.kind == "reshape":
-            space = uf.find(out_space[preds[0]])
-            tag = (node.attr("heads"), node.attr("head_dim"))
-            prev = head_tag.get(space)
-            if prev is not None and prev != tag:
-                raise AnalysisError(f"conflicting head tags on one dependency class at {nid}")
-            head_tag[space] = tag
-            through.setdefault(space, []).append(nid)
-            out_space[nid] = space
-        elif node.kind == "softmax":
-            space = uf.find(out_space[preds[0]])
-            for p in preds[1:]:
-                space = uf.union(space, uf.find(out_space[p]))
-            through.setdefault(space, []).append(nid)
-            out_space[nid] = space
-        else:
-            raise AnalysisError(f"unclassifiable op kind {node.kind!r} at node {nid}")
-
-    # regroup per final union-find roots
-    classes: dict[str, list[Member]] = {}
-    for space, members in bindings.items():
-        classes.setdefault(uf.find(space), []).extend(members)
-    class_through: dict[str, list[str]] = {}
-    for space, nids in through.items():
-        class_through.setdefault(uf.find(space), []).extend(nids)
-    class_heads: dict[str, tuple[int, int]] = {}
-    for space, tag in head_tag.items():
-        root = uf.find(space)
-        if root in class_heads and class_heads[root] != tag:
-            raise AnalysisError("conflicting head tags on one dependency class")
-        class_heads[root] = tag
-    rank_roots = {uf.find(s) for s in rank_spaces}
+    classes: dict = {}
+    for m in members:
+        classes.setdefault(uf.find((m.param, m.axis)), []).append(m)
+    pinned = {uf.find(key) for key in unprunable}
+    n_heads: dict = {}
+    for key, n in heads:
+        if n_heads.setdefault(uf.find(key), n) != n:
+            raise AnalysisError(f"conflicting head counts on one dependency class at {key}")
+    output_class = uf.find(graph.output)
 
     basic: list[NodeGroup] = []
-    for root in sorted(classes):
-        if root in rank_roots:
-            continue
-        members = sorted(classes[root], key=lambda m: (m.param, m.axis))
-        unpr = any(
-            graph.nodes[m.node_id].kind in ("embedding", "rmsnorm", "head") for m in members
-        )
-        gran = "head" if root in class_heads else "channel"
+    class_of: dict[tuple[str, int], str] = {}
+    for root, ms in classes.items():
+        ms.sort(key=lambda m: (m.param, m.axis))
+        prunable = root not in pinned
+        if prunable:
+            name = _common_module(m.param for m in ms if m.param.endswith(".weight"))
+        else:  # the vocabulary, or the residual stream the embeddings and norms read
+            name = "logits" if root == output_class else "residual"
+        head = prunable and root in n_heads
         basic.append(
             NodeGroup(
-                id=_class_name(graph, members),
+                id=name,
                 kind="basic",
-                prunable=not unpr,
-                granularity=gran if not unpr else "none",
-                size=-1,  # filled by size_node_groups
-                n_units=(class_heads[root][0] if root in class_heads else 0) if not unpr else 0,
-                unit_width=(class_heads[root][1] if root in class_heads else 1) if not unpr else 0,
-                members=members,
-                through=tuple(sorted(set(class_through.get(root, [])))),
+                prunable=prunable,
+                granularity=("head" if head else "channel") if prunable else "none",
+                size=-1,  # size, and the units of a prunable class, filled by size_node_groups
+                n_units=n_heads[root] if head else 0,
+                unit_width=0,
+                members=ms,
             )
         )
+        class_of.update(((m.param, m.axis), name) for m in ms)
     basic.sort(key=lambda g: g.id)
 
-    composed: list[NodeGroup] = []
-    member_class: dict[tuple[str, int], str] = {}
-    for g in basic:
-        for m in g.members:
-            member_class[(m.node_id, m.axis)] = g.id
-    for span in spans:
-        a_id, b_id = span.node_ids
-        a_node, b_node = graph.nodes[a_id], graph.nodes[b_id]
-        members = [Member(a_id, a_node.param, 1), Member(b_id, b_node.param, 0)]
+    composed = []
+    for node in graph.nodes:
+        if node.kind != "lora_linear":
+            continue
+        _, a, b = node.params
         composed.append(
             NodeGroup(
-                id=span.id,
+                id=f"span:{a.removesuffix('.lora_A')}",
                 kind="composed",
                 prunable=False,
                 granularity="none",
                 size=0,
                 n_units=0,
                 unit_width=0,
-                members=members,
-                links={
-                    "secondary": member_class[(a_id, 1)],
-                    "primary": member_class[(b_id, 0)],
-                },
+                members=[Member(node.id, a, 1), Member(node.id, b, 0)],
+                links={"secondary": class_of[(a, 1)], "primary": class_of[(b, 0)]},
             )
         )
+    composed.sort(key=lambda g: g.id)
     return NodeGroups(basic=basic, composed=composed)
 
 
-def _class_name(graph: TraceGraph, members: list[Member]) -> str:
-    kinds = {graph.nodes[m.node_id].kind for m in members}
-    if "embedding" in kinds:
-        return "residual"
-    hosts = sorted(
-        {graph.nodes[m.node_id].module for m in members if graph.nodes[m.node_id].kind == "linear"}
-    )
-    if not hosts:
-        return "logits"
-    prefix = hosts[0].split(".")
-    for other in hosts[1:]:
-        parts = other.split(".")
-        keep = 0
-        for a, b in zip(prefix, parts):
-            if a != b:
-                break
-            keep += 1
-        prefix = prefix[:keep]
+def _common_module(weights) -> str:
+    """The longest dotted prefix shared by the modules owning ``weights``."""
+    prefix = os.path.commonprefix([w.split(".")[:-1] for w in weights])
     return ".".join(prefix) if prefix else "shared"
 
 
@@ -313,8 +270,9 @@ def size_node_groups(node_groups: NodeGroups, model: LoraModel) -> None:
             raise AnalysisError(f"node group {g.id}: inconsistent member sizes {sorted(sizes)}")
         g.size = sizes.pop()
         if g.granularity == "head":
-            if g.n_units * g.unit_width != g.size:
-                raise AnalysisError(f"node group {g.id}: head tiling does not cover {g.size} channels")
+            if g.size % g.n_units:
+                raise AnalysisError(f"node group {g.id}: {g.n_units} heads do not tile {g.size} channels")
+            g.unit_width = g.size // g.n_units
         elif g.granularity == "channel":
             g.n_units = g.size
             g.unit_width = 1
@@ -375,10 +333,6 @@ def verify_group_set(group_set: GroupSet, node_groups: NodeGroups, model: LoraMo
 # ---- slice arithmetic used by probing, pruning, and compression ---------------
 
 
-def _module_of(param: str) -> str:
-    return param.rsplit(".", 1)[0]
-
-
 def _index(s: Slice) -> tuple:
     """Index of the slice's rows (axis 0) or columns (axis 1) in its tensor."""
     idx = list(s.indices)
@@ -411,11 +365,11 @@ def frozen_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
 
 def effective_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
     """Same as frozen_slice_vector but on host + gamma*B@A effective weights."""
-    modules = model.lora_linears()
+    modules = {f"{name}.weight": mod for name, mod in model.lora_linears().items()}
     params = model.parameters()
     parts = []
     for s in group.host_slices():
-        mod = modules[_module_of(s.param)]
+        mod = modules[s.param]
         w = params[s.param].data
         idx = list(s.indices)
         if s.axis == 0:
@@ -463,12 +417,11 @@ def node_groups_to_json(node_groups: NodeGroups) -> dict:
             "n_units": g.n_units,
             "unit_width": g.unit_width,
             "members": [{"node": m.node_id, "param": m.param, "axis": m.axis} for m in g.members],
-            "through": list(g.through),
             "links": dict(g.links),
         }
 
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "basic": [enc(g) for g in node_groups.basic],
         "composed": [enc(g) for g in node_groups.composed],
     }

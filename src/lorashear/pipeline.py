@@ -22,7 +22,7 @@ from .config import PipelineConfig, write_config
 from .data import SourceTaggedCorpus, corpora_from_json, generate_corpus, save_corpora
 from .errors import FormatError, NumericError, StageError
 from .evaluate import mean_cross_entropy, per_source_perplexity
-from .graph import build_trace_graph, graph_to_json, mark_composed_spans
+from .graph import build_trace_graph, graph_to_json
 from .groups import STATUSES, GroupSet, dump_groups, discover_node_groups, partition_variables
 from .lhspg import run_lhspg
 from .model import LoraModel, build_model
@@ -87,8 +87,7 @@ def _corpora(out: Path, stage: str, cfg: PipelineConfig) -> dict[str, SourceTagg
 
 
 def _analysis_structures(model):
-    graph = build_trace_graph(model)
-    node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+    node_groups = discover_node_groups(build_trace_graph(model))
     return node_groups, partition_variables(node_groups, model)
 
 
@@ -388,8 +387,7 @@ def run_all(cfg: PipelineConfig, out: Path) -> None:
 
 def dump_graph_artifact(model_path: Path, out_path: Path) -> None:
     model = _load_model(model_path, "graph dump")
-    graph = build_trace_graph(model)
-    write_json(out_path, graph_to_json(graph, mark_composed_spans(graph)))
+    write_json(out_path, graph_to_json(build_trace_graph(model)))
 
 
 def dump_groups_artifact(model_path: Path, out_path: Path) -> None:

@@ -17,7 +17,9 @@ reads (``probs`` for softmax; ``probs``, the scaled queries ``sq``, the
 transposed keys ``kt`` and the per-head values ``vh`` for causal attention;
 ``sig`` and ``x`` for silu; never the scores or a projection's output). It
 never holds a whole ``Tensor``, so add, scale, reshape, transpose and
-embedding lookup pin no activation at all.
+embedding lookup pin no activation at all. Each ``TapeOp`` names its
+operands and its result by those same cells, so a recorded forward is also
+the model's operator graph (``graph.build_trace_graph``).
 ``Tape.backward`` consumes the tape: it pops each op before running its
 backward rule, so what only that op's closure held is freed while the pass
 goes on, and a step never holds all of it at once. An intermediate tensor
@@ -152,12 +154,21 @@ class Tensor:
 
 @dataclass
 class TapeOp:
-    """One recorded operation: identity bookkeeping plus its backward rule."""
+    """One recorded operation: its operands' gradient cells, its own, and its backward rule.
+
+    ``inputs`` holds one ``Grad`` per operand, None for an operand that does
+    not require grad; ``output`` is the result's cell. The cells are the
+    ones the backward closure already keeps alive, so they identify a
+    tensor for as long as the tape holds the op, where an ``id()`` of a
+    tensor that died during the forward may be reused. ``attrs`` keeps the
+    op's structural arguments (``n_heads`` for ``causal_attention``).
+    """
 
     name: str
-    input_ids: tuple[int, ...]
-    output_id: int
+    inputs: tuple[Optional[Grad], ...]
+    output: Grad
     backward: Callable[[], None]
+    attrs: dict[str, int]
 
 
 @dataclass
@@ -217,14 +228,15 @@ def _check_finite(op: str, *tensors: Tensor) -> None:
 
 
 def _record(
-    name: str, inputs: Sequence[Tensor], out: Tensor, rule: Callable[..., None]
+    name: str, inputs: Sequence[Tensor], out: Tensor, rule: Callable[..., None], **attrs: int
 ) -> Tensor:
     """Put ``out``'s op on the innermost tape when there is one and ``out`` requires grad.
 
     ``rule(g, *cells)`` gets ``out``'s gradient and one ``Grad`` per input,
     None for an input that does not require grad. Cells are made here, so a
     no-grad forward allocates none, and the recorded closure holds the cells
-    and ``rule`` only: never ``out`` or an input tensor.
+    and ``rule`` only: never ``out`` or an input tensor. ``attrs`` go on the
+    ``TapeOp`` as they are.
     """
     tape = active_tape()
     if tape is not None and out.requires_grad:
@@ -236,7 +248,7 @@ def _record(
             if g is not None:
                 rule(g, *cells)
 
-        tape.record(TapeOp(name, tuple(id(t) for t in inputs), id(out), backward))
+        tape.record(TapeOp(name, cells, out_cell, backward, attrs))
     return out
 
 
@@ -532,7 +544,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         if ck is not None:
             ck.accumulate((sq.swapaxes(-1, -2) @ ds).transpose(0, 3, 1, 2).reshape(b, t, dim))
 
-    return _record("causal_attention", (q, k, v), out, rule)
+    return _record("causal_attention", (q, k, v), out, rule, n_heads=n_heads)
 
 
 def silu(x: Tensor) -> Tensor:

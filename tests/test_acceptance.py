@@ -20,7 +20,7 @@ from lorashear.compress import apply_compression, plan_compression
 from lorashear.config import LhspgSection, PipelineConfig
 from lorashear.data import corpora_from_json
 from lorashear.errors import FormatError
-from lorashear.graph import build_trace_graph, mark_composed_spans
+from lorashear.graph import build_trace_graph
 from lorashear.groups import (
     discover_node_groups,
     frozen_slice_vector,
@@ -48,7 +48,7 @@ def ok(criterion: int, description: str, passed: bool, detail: str = "") -> None
 
 def structures(model):
     graph = build_trace_graph(model)
-    node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+    node_groups = discover_node_groups(graph)
     return graph, node_groups, partition_variables(node_groups, model)
 
 

@@ -60,11 +60,11 @@ def test_bad_version_rejected(toy_model, tmp_path):
 
 def test_compressed_model_round_trip_preserves_reduced_shapes(toy_model, tmp_path):
     from lorashear.compress import apply_compression, plan_compression
-    from lorashear.graph import build_trace_graph, mark_composed_spans
+    from lorashear.graph import build_trace_graph
     from lorashear.groups import discover_node_groups, partition_variables, zero_structure
 
     graph = build_trace_graph(toy_model)
-    node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+    node_groups = discover_node_groups(graph)
     group_set = partition_variables(node_groups, toy_model)
     victims = ["blocks.0.mlp:ch:005", "blocks.1.attn:head:002"]
     for gid in victims:

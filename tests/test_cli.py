@@ -427,8 +427,8 @@ class TestDumps:
                    "--output", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
-        assert {n["kind"] for n in payload["nodes"]} >= {"linear", "lora_A", "lora_B", "softmax"}
+        assert payload["schema_version"] == 2
+        assert {n["kind"] for n in payload["nodes"]} >= {"linear", "lora_linear", "causal_attention"}
 
     def test_groups_dump(self, finished_run, tmp_path):
         out = tmp_path / "groups.json"
@@ -440,6 +440,26 @@ class TestDumps:
         assert len(groups) == 2 * (16 + 2)
         assert all(g["status"] == "prunable" for g in groups)
 
+    def test_dumps_of_a_compact_model_with_an_emptied_block(self, toy_model, tmp_path):
+        # every head of block 1 removed: its attention is scale(h, 0.0)
+        from lorashear.checkpoint import save_checkpoint
+        from lorashear.compress import apply_compression, plan_compression
+
+        _, group_set = pipeline._analysis_structures(toy_model)
+        for h in range(4):
+            group_set.set_status(f"blocks.1.attn:head:{h:03d}", "redundant")
+        ckpt = tmp_path / "model_compact.lshr"
+        save_checkpoint(apply_compression(toy_model, plan_compression(group_set, toy_model)), ckpt)
+        graph_out, groups_out = tmp_path / "graph.json", tmp_path / "groups.json"
+        assert main(["graph", "dump", "--checkpoint", str(ckpt), "--output", str(graph_out)]) == 0
+        assert main(["groups", "dump", "--checkpoint", str(ckpt), "--output", str(groups_out)]) == 0
+        kinds = [n["kind"] for n in json.loads(graph_out.read_text())["nodes"]]
+        assert kinds.count("scale") == 1 and kinds.count("causal_attention") == 1
+        payload = json.loads(groups_out.read_text())
+        groups = payload["group_set"]["groups"]
+        assert len(groups) == 132
+        assert not any(g["node_group"] == "blocks.1.attn" for g in groups)
+        assert "blocks.1.attn" not in {g["id"] for g in payload["node_groups"]["basic"]}
 
     @pytest.mark.parametrize("command", ["graph", "groups"])
     @pytest.mark.parametrize("content", [b"LSHR\x01\x00\x00\x00\x10\x00", None])

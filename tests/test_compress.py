@@ -8,7 +8,7 @@ from lorashear import compress
 from lorashear.checkpoint import load_checkpoint, save_checkpoint
 from lorashear.compress import apply_compression, plan_compression
 from lorashear.errors import PlanError
-from lorashear.graph import build_trace_graph, mark_composed_spans
+from lorashear.graph import build_trace_graph
 from lorashear.groups import (
     GroupSet,
     Slice,
@@ -23,7 +23,7 @@ from lorashear.util import model_hash
 
 def setup(model):
     graph = build_trace_graph(model)
-    node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+    node_groups = discover_node_groups(graph)
     group_set = partition_variables(node_groups, model)
     return graph, node_groups, group_set
 

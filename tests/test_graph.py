@@ -1,29 +1,24 @@
-"""Trace graph construction, spans, faithfulness.
+"""Trace graph of a recorded forward: counts, operands, dump.
 
-The committed counts fixture is a hand enumeration of the block diagram:
-per adapted linear 4 nodes (host, lora_A, lora_B, add); per block one
-attention norm, 4 projections, 3 head splits + mix + merge, a residual add,
-one MLP norm, 3 projections, silu, mul, and a residual add; plus 2
-embeddings with their add, the final norm, and the head. For the toy model
-(2 blocks, 7 adapted linears each) that is 83 nodes, 106 edges, 14 spans.
+The committed counts fixture is a hand enumeration of the ops one forward
+records. Nodes: 2 embedding lookups and their add; per block an attention
+rmsnorm, 4 ``lora_linear`` projections (q, k, v, o), one
+``causal_attention``, a residual add, an MLP rmsnorm, 3 ``lora_linear``
+projections (gate, up, down), silu, mul and a residual add; then the final
+rmsnorm and the head ``linear``. For the toy model (2 blocks) that is
+3 + 2 * 15 + 2 = 33 nodes. Edges, one per activation operand: the embedding
+add reads 2; per block the attention norm reads 1, q/k/v 1 each, attention
+3, o 1, the residual add 2, the MLP norm 1, gate and up 1 each, silu 1,
+mul 2, down 1 and the residual add 2, so 19; the final norm and the head
+read 1 each. That is 2 + 2 * 19 + 2 = 42 edges. Spans, one per adapted
+linear, i.e. per ``lora_linear`` op: 2 * 7 = 14.
 """
 
 import json
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-import pytest
-
-from lorashear.errors import AnalysisError
-from lorashear.graph import (
-    TraceGraph,
-    TraceNode,
-    build_trace_graph,
-    execute,
-    graph_to_json,
-    mark_composed_spans,
-)
+from lorashear.graph import build_trace_graph, graph_to_json
 from lorashear.model import ModelConfig, build_model
 
 from conftest import TOY
@@ -36,109 +31,79 @@ class TestBuild:
         graph = build_trace_graph(toy_model)
         assert len(graph.nodes) == FIXTURE["nodes_total"]
         assert len(graph.edges) == FIXTURE["edges_total"]
-        by_kind = Counter(n.kind for n in graph.nodes.values())
+        by_kind = Counter(n.kind for n in graph.nodes)
         assert dict(by_kind) == FIXTURE["nodes_by_kind"]
 
     def test_each_adapted_linear_contributes_three_parameterized_nodes(self, toy_model):
+        # the host weight and both adaptor factors are the operands of one op
         graph = build_trace_graph(toy_model)
+        by_id = {n.id: n for n in graph.nodes}
         module = "blocks.0.attn.q"
-        kinds = {
-            graph.nodes[nid].kind: nid
-            for nid in graph.module_tree[module]
-            if graph.nodes[nid].param is not None
-        }
-        assert set(kinds) == {"linear", "lora_A", "lora_B"}
-        add_id = f"{module}.add"
-        assert graph.inputs[add_id] == [kinds["linear"], kinds["lora_B"]]
-        assert graph.inputs[kinds["lora_B"]] == [kinds["lora_A"]]
+        (node,) = [n for n in graph.nodes if f"{module}.weight" in n.params]
+        assert node.kind == "lora_linear"
+        assert node.params == (f"{module}.weight", f"{module}.lora_A", f"{module}.lora_B")
+        (src,) = node.inputs
+        assert by_id[src].params == ("blocks.0.attn_norm.gain",)
 
     def test_acyclic_single_sink_all_reachable(self, toy_model):
         graph = build_trace_graph(toy_model)
-        order = graph.topological_order()
-        assert len(order) == len(graph.nodes)
-        assert graph.sinks() == ["head"]
+        position = {n.id: i for i, n in enumerate(graph.nodes)}
+        assert all(position[src] < position[dst] for src, dst in graph.edges)
+        read = {src for src, _ in graph.edges}
+        assert [n.id for n in graph.nodes if n.id not in read] == [graph.output]
+        reachable = set()
+        for n in graph.nodes:
+            if not n.inputs or any(src in reachable for src in n.inputs):
+                reachable.add(n.id)
+        assert reachable == set(position)
+        assert {n.kind for n in graph.nodes if not n.inputs} == {"embedding_lookup"}
 
     def test_every_parameter_referenced_exactly_once(self, toy_model):
         graph = build_trace_graph(toy_model)
-        referenced = [n.param for n in graph.nodes.values() if n.param]
+        referenced = [p for n in graph.nodes for p in n.params]
         assert sorted(referenced) == sorted(toy_model.parameters())
         assert len(referenced) == len(set(referenced))
+
+    def test_causal_attention_records_its_head_count(self, toy_model):
+        graph = build_trace_graph(toy_model)
+        attention = [n for n in graph.nodes if n.kind == "causal_attention"]
+        assert [n.attrs for n in attention] == [{"n_heads": TOY["n_heads"]}] * TOY["n_layers"]
+        assert all(n.attrs == {} for n in graph.nodes if n.kind != "causal_attention")
+
+    def test_recording_leaves_the_model_untouched(self, toy_model):
+        before = {name: (t.requires_grad, t.grad) for name, t in toy_model.parameters().items()}
+        build_trace_graph(toy_model)
+        after = {name: (t.requires_grad, t.grad) for name, t in toy_model.parameters().items()}
+        assert after == before
 
 
 class TestSpans:
     def test_one_span_per_adapted_linear(self, toy_model):
         graph = build_trace_graph(toy_model)
-        spans = mark_composed_spans(graph)
+        spans = [n for n in graph.nodes if n.kind == "lora_linear"]
         assert len(spans) == FIXTURE["spans"]
-        for span in spans:
-            a, b = span.node_ids
-            assert graph.nodes[a].kind == "lora_A"
-            assert graph.nodes[b].kind == "lora_B"
-            assert a in graph.inputs[b]  # lora_A precedes lora_B along edges
+        for node in spans:
+            weight, a, b = node.params
+            module = weight.removesuffix(".weight")
+            assert (a, b) == (f"{module}.lora_A", f"{module}.lora_B")
 
     def test_lora_disabled_gives_empty_span_list(self):
         bare = build_model(ModelConfig(**{**TOY, "lora_rank": 0}, seed=1))
         graph = build_trace_graph(bare)
-        assert mark_composed_spans(graph) == []
-
-    def test_orphan_lora_node_rejected(self, toy_model):
-        graph = build_trace_graph(toy_model)
-        broken = TraceGraph()
-        for nid in graph.topological_order():
-            node = graph.nodes[nid]
-            if node.id == "blocks.0.attn.q.lora_B":
-                node = TraceNode(node.id, "add", node.module)  # orphan the A factor
-            broken.add(node, [p for p in graph.inputs[nid]])
-        with pytest.raises(AnalysisError, match="orphan"):
-            mark_composed_spans(broken)
-
-
-class TestFaithfulness:
-    def test_topological_execution_reproduces_forward_bit_identically(self, toy_model):
-        graph = build_trace_graph(toy_model)
-        rng = np.random.default_rng(0)
-        for shape in ((7,), (3, 12)):
-            tokens = rng.integers(0, 64, size=shape)
-            assert np.array_equal(
-                toy_model.forward(tokens).data, execute(graph, toy_model, tokens).data
-            )
-
-    def test_faithful_after_training(self, toy_model, toy_corpus):
-        from lorashear.lhspg import warmup
-
-        rng = np.random.default_rng(1)
-        warmup(toy_model, lambda: toy_corpus.sample_batch(rng, 4), steps=5, learning_rate=0.3)
-        graph = build_trace_graph(toy_model)
-        tokens = rng.integers(0, 64, size=(2, 10))
-        assert np.array_equal(
-            toy_model.forward(tokens).data, execute(graph, toy_model, tokens).data
-        )
-
-    def test_frozen_trained_model_agrees_to_rounding(self, toy_model, toy_corpus):
-        # a grad-free forward folds each nonzero adaptor into its host weight,
-        # while execute replays the unfolded spans
-        from lorashear.lhspg import warmup
-
-        rng = np.random.default_rng(2)
-        warmup(toy_model, lambda: toy_corpus.sample_batch(rng, 4), steps=5, learning_rate=0.3)
-        toy_model.set_trainable("none")
-        assert any(np.any(m.lora_b.data) for m in toy_model.lora_linears().values())
-        graph = build_trace_graph(toy_model)
-        tokens = rng.integers(0, 64, size=(2, 10))
-        expected = execute(graph, toy_model, tokens).data
-        got = toy_model.forward(tokens).data
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert not [n for n in graph.nodes if n.kind == "lora_linear"]
+        assert Counter(n.kind for n in graph.nodes)["linear"] == 2 * 7 + 1
 
 
 class TestDump:
     def test_json_schema_shape(self, toy_model):
         graph = build_trace_graph(toy_model)
-        payload = graph_to_json(graph, mark_composed_spans(graph))
-        assert payload["schema_version"] == 1
+        payload = graph_to_json(graph)
+        assert payload["schema_version"] == 2
+        assert set(payload) == {"schema_version", "nodes", "edges"}
         assert len(payload["nodes"]) == FIXTURE["nodes_total"]
         assert len(payload["edges"]) == FIXTURE["edges_total"]
-        assert len(payload["spans"]) == FIXTURE["spans"]
-        assert all(set(n) == {"id", "kind", "module", "param", "attrs"} for n in payload["nodes"])
-        assert "blocks.0" in payload["module_tree"]
+        assert all(set(n) == {"id", "kind", "params", "attrs"} for n in payload["nodes"])
+        ids = {n["id"] for n in payload["nodes"]}
+        assert all(src in ids and dst in ids for src, dst in payload["edges"])
         # deterministic: same model, same dump
-        assert payload == graph_to_json(build_trace_graph(toy_model), mark_composed_spans(graph))
+        assert payload == graph_to_json(build_trace_graph(toy_model))

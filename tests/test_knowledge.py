@@ -5,7 +5,7 @@ import pytest
 
 from lorashear.errors import ConfigError, CorruptionError
 from lorashear.evaluate import _CHUNK, empty_residuals, mean_cross_entropy, perplexity
-from lorashear.graph import build_trace_graph, mark_composed_spans
+from lorashear.graph import build_trace_graph
 from lorashear.groups import discover_node_groups, partition_variables, zero_structure
 from lorashear.knowledge import analyze, probe_deviation
 from lorashear.model import ModelConfig, build_model
@@ -15,7 +15,7 @@ from lorashear.util import model_hash
 
 def structures(model):
     graph = build_trace_graph(model)
-    node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+    node_groups = discover_node_groups(graph)
     return node_groups, partition_variables(node_groups, model)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from lorashear.config import LhspgSection
 from lorashear.errors import ConfigError, NumericError
-from lorashear.graph import build_trace_graph, mark_composed_spans
+from lorashear.graph import build_trace_graph
 from lorashear.groups import (
     discover_node_groups,
     effective_slice_vector,
@@ -32,7 +32,7 @@ from lorashear.util import model_hash
 
 def structures(model):
     graph = build_trace_graph(model)
-    node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+    node_groups = discover_node_groups(graph)
     return node_groups, partition_variables(node_groups, model)
 
 

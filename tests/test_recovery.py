@@ -188,14 +188,14 @@ class TestRecoveryRound:
 class TestRunRecovery:
     def _setup(self, trained_toy, tmp_path):
         from lorashear.compress import apply_compression, plan_compression
-        from lorashear.graph import build_trace_graph, mark_composed_spans
+        from lorashear.graph import build_trace_graph
         from lorashear.groups import discover_node_groups, partition_variables, zero_structure
 
         model, pre_corpus = trained_toy
         instruct = generate_corpus("instruct", ("qa_copy", "qa_lookup"), 48, 8, 48, 64,
                                    np.random.default_rng(11))
         graph = build_trace_graph(model)
-        node_groups = discover_node_groups(graph, mark_composed_spans(graph))
+        node_groups = discover_node_groups(graph)
         group_set = partition_variables(node_groups, model)
         compactee = model.clone()
         rng = np.random.default_rng(0)

@@ -559,10 +559,37 @@ class TestProperties:
             y = T.silu(x)
             z = T.add(y, x)
             _ = T.mul(z, y)
-        seen = set()
+        seen = {x._grad_cell()}
         for op in tape.ops:
-            assert all(i in seen or i == id(x) for i in op.input_ids)
-            seen.add(op.output_id)
+            assert all(cell in seen for cell in op.inputs)
+            seen.add(op.output)
+        assert [op.inputs for op in tape.ops] == [
+            (x._grad_cell(),), (y._grad_cell(), x._grad_cell()), (z._grad_cell(), y._grad_cell()),
+        ]
+
+    def test_recorded_forward_names_each_operand_by_its_cell(self, toy_model):
+        # every output cell is new, and every input cell is a parameter's or an
+        # earlier op's output: ids of tensors that died mid-forward get reused,
+        # cells the tape holds cannot be
+        from lorashear.model import next_token_loss
+
+        toy_model.set_trainable("all")
+        params = {t._grad_cell() for t in toy_model.parameters().values()}
+        with Tape() as tape:
+            next_token_loss(toy_model, np.arange(9)[None, :])
+        made = set()
+        for op in tape.ops:
+            assert op.output not in made | params
+            assert all(cell in made or cell in params for cell in op.inputs)
+            made.add(op.output)
+        assert len(made) == len(tape.ops) == 34
+
+    def test_causal_attention_records_its_head_count(self):
+        x = Tensor(np.ones((1, 2, 6)), requires_grad=True)
+        with Tape() as tape:
+            T.causal_attention(x, x, x, 3)
+            T.add(x, x)
+        assert [op.attrs for op in tape.ops] == [{"n_heads": 3}, {}]
 
 
 def _rule_arrays(op) -> dict:
