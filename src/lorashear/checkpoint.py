@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import canonical_json, parse_json, write_atomic
 from .errors import ConfigError, FormatError
-from .model import Block, LoraLinear, LoraModel, ModelConfig
+from .model import LoraModel, ModelConfig, parameter_shapes
 from .tensor import Tensor
 
 MAGIC = b"LSHR"
@@ -185,60 +185,28 @@ def load_checkpoint(path: str | Path) -> LoraModel:
         if not all(type(d) is int and d >= 0 for d in dims):
             raise FormatError(f"{path}: block {i} meta has invalid dims {list(dims)}")
 
-    dim, rank = config.dim, config.lora_rank
-    used: set[str] = set()
+    if len(block_dims) != config.n_layers:
+        raise FormatError(
+            f"{path}: meta lists {len(block_dims)} blocks, config n_layers is {config.n_layers}"
+        )
 
-    def tensor(name: str, *shape: int) -> Tensor:
-        """The named tensor, which must have the ``shape`` the meta implies."""
+    shapes = parameter_shapes(config, block_dims)
+    for name, shape in shapes.items():
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name}")
         if tensors[name].shape != shape:
             raise FormatError(
                 f"{path}: tensor {name} has shape {tensors[name].shape}, the meta implies {shape}"
             )
-        used.add(name)
-        return Tensor(tensors[name])
-
-    def lora_linear(prefix: str, out_dim: int, in_dim: int) -> LoraLinear:
-        a_name, b_name = f"{prefix}.lora_A", f"{prefix}.lora_B"
-        a = tensor(a_name, rank, in_dim) if a_name in tensors else None
-        b = tensor(b_name, out_dim, rank) if b_name in tensors else None
-        if (a is None) != (b is None):
-            raise FormatError(f"{path}: {prefix} has only one LoRA factor")
-        return LoraLinear(tensor(f"{prefix}.weight", out_dim, in_dim), a, b, config.lora_gamma)
-
-    blocks = []
-    for i, (n_heads, head_dim, mlp_dim) in enumerate(block_dims):
-        p, inner = f"blocks.{i}", n_heads * head_dim
-        blocks.append(
-            Block(
-                tensor(f"{p}.attn_norm.gain", dim),
-                lora_linear(f"{p}.attn.q", inner, dim),
-                lora_linear(f"{p}.attn.k", inner, dim),
-                lora_linear(f"{p}.attn.v", inner, dim),
-                lora_linear(f"{p}.attn.o", dim, inner),
-                tensor(f"{p}.mlp_norm.gain", dim),
-                lora_linear(f"{p}.mlp.gate", mlp_dim, dim),
-                lora_linear(f"{p}.mlp.up", mlp_dim, dim),
-                lora_linear(f"{p}.mlp.down", dim, mlp_dim),
-                head_dim,
-            )
-        )
+    unknown = sorted(set(tensors) - set(shapes))
+    if unknown:
+        raise FormatError(f"{path}: tensor {unknown[0]} has no slot in the model the meta describes")
+    for i, (_, head_dim, _) in enumerate(block_dims):
         if head_dim != config.head_dim:
             raise FormatError(
                 f"{path}: block {i} head_dim {head_dim} is not config dim / n_heads = {config.head_dim}"
             )
-    model = LoraModel(
-        config,
-        tensor("tok_embedding", config.vocab_size, dim),
-        tensor("pos_embedding", config.block_size, dim),
-        blocks,
-        tensor("final_norm.gain", dim),
-        tensor("head.weight", config.vocab_size, dim),
-    )
-    unknown = sorted(set(tensors) - used)
-    if unknown:
-        raise FormatError(f"{path}: tensor {unknown[0]} has no slot in the model the meta describes")
+    model = LoraModel(config, {name: Tensor(tensors[name]) for name in shapes})
     if model_meta(model, meta.get("extra")) != meta:
         raise FormatError(f"{path}: meta holds fields other than the ones save writes for this model")
     model.set_trainable("none")

@@ -3,7 +3,9 @@
 The sections below are the only configuration; each stage reads its section
 as it is. Every value is judged when the config loads, before any stage
 writes a file, by ``ModelConfig`` and the ``RULES`` table: a bad value is a
-ConfigError naming its ``config.<section>.<field>`` path.
+ConfigError naming its ``config.<section>.<field>`` path. One combination
+waits for analyze's group count: prune rejects a ``lhspg.pruning_ratio`` and
+``analysis.unprunable_fraction`` that would zero every structure group.
 
 All defaults are materialized into the output directory at the start of a
 run so every run is self-documenting. A single seed fans out
@@ -175,9 +177,11 @@ def _source_floor(v, cfg) -> bool:
 
 
 # (path under config., rule(value, cfg), what the rule expects); the model
-# section is judged by ModelConfig itself
+# section is judged by ModelConfig itself, and here only where a pipeline
+# needs more than a model does: pruning and recovery train the adaptors
 RULES = (
     ("seed", *_at_least(0)),
+    ("model.lora_rank", *_at_least(1)),
     ("data.pretraining_sources", *_SOURCES),
     ("data.instruct_sources", *_SOURCES),
     ("data.train_sequences_per_source", *_at_least(1)),

@@ -9,7 +9,9 @@ learned absolute embedding. Every projection except the output head is a
 and B (out x r), applied as ``x @ W.T + gamma * (x @ A.T) @ B.T``. B starts
 at zero so a fresh model is exactly the frozen model.
 
-A block's head count and MLP width are read off its tensors' shapes, so
+``parameter_shapes`` states every parameter's name and shape, in model
+order, once: building, cloning and loading a model all go through it. A
+block's head count and MLP width are read off its tensors' shapes, so
 structurally compressed models (which may differ per block) reuse the same
 forward path.
 
@@ -102,12 +104,20 @@ class LoraLinear:
 
 
 class Block:
-    def __init__(self, attn_norm, q, k, v, o, mlp_norm, gate, up, down, head_dim):
-        self.attn_norm = attn_norm
-        self.q, self.k, self.v, self.o = q, k, v, o
-        self.mlp_norm = mlp_norm
-        self.gate, self.up, self.down = gate, up, down
-        self.head_dim = head_dim
+    """One decoder block, its tensors wired by name from ``params`` under ``prefix``."""
+
+    def __init__(self, params: Mapping[str, Tensor], prefix: str, config: ModelConfig):
+        def proj(name: str) -> LoraLinear:
+            p = f"{prefix}.{name}"
+            return LoraLinear(
+                params[f"{p}.weight"], params.get(f"{p}.lora_A"), params.get(f"{p}.lora_B"), config.lora_gamma
+            )
+
+        self.attn_norm = params[f"{prefix}.attn_norm.gain"]
+        self.q, self.k, self.v, self.o = (proj(f"attn.{n}") for n in "qkvo")
+        self.mlp_norm = params[f"{prefix}.mlp_norm.gain"]
+        self.gate, self.up, self.down = (proj(f"mlp.{n}") for n in ("gate", "up", "down"))
+        self.head_dim = config.head_dim
 
     @property
     def n_heads(self) -> int:
@@ -130,30 +140,21 @@ class Block:
 
 
 class LoraModel:
-    def __init__(self, config: ModelConfig, tok_embedding, pos_embedding, blocks, final_norm, head):
+    def __init__(self, config: ModelConfig, params: Mapping[str, Tensor]):
+        """Wire the tensors of ``params``, named and ordered as ``parameter_shapes`` lists them."""
         self.config = config
-        self.tok_embedding = tok_embedding
-        self.pos_embedding = pos_embedding
-        self.blocks: list[Block] = blocks
-        self.final_norm = final_norm
-        self.head = head
+        self.tok_embedding = params["tok_embedding"]
+        self.pos_embedding = params["pos_embedding"]
+        self.blocks = [Block(params, f"blocks.{i}", config) for i in range(config.n_layers)]
+        self.final_norm = params["final_norm.gain"]
+        self.head = params["head.weight"]
         # built once: code writes a parameter's .data, never the tensor itself
-        modules = {}
-        params = {"tok_embedding": tok_embedding, "pos_embedding": pos_embedding}
-        for i, blk in enumerate(blocks):
-            prefix = f"blocks.{i}"
-            params[f"{prefix}.attn_norm.gain"] = blk.attn_norm
-            for name, mod in blk.lora_linears().items():
-                modules[f"{prefix}.{name}"] = mod
-                params[f"{prefix}.{name}.weight"] = mod.weight
-                if mod.has_lora:
-                    params[f"{prefix}.{name}.lora_A"] = mod.lora_a
-                    params[f"{prefix}.{name}.lora_B"] = mod.lora_b
-            params[f"{prefix}.mlp_norm.gain"] = blk.mlp_norm
-        params["final_norm.gain"] = final_norm
-        params["head.weight"] = head
-        self._modules = MappingProxyType(modules)
-        self._params = MappingProxyType(params)
+        self._modules = MappingProxyType({
+            f"blocks.{i}.{name}": mod
+            for i, blk in enumerate(self.blocks)
+            for name, mod in blk.lora_linears().items()
+        })
+        self._params = MappingProxyType(dict(params))
 
     # ---- parameter bookkeeping -------------------------------------------------
 
@@ -185,27 +186,7 @@ class LoraModel:
             t.zero_grad()
 
     def clone(self) -> "LoraModel":
-        def c(t: Tensor | None) -> Tensor | None:
-            return None if t is None else t.copy()
-
-        blocks = []
-        for blk in self.blocks:
-            blocks.append(
-                Block(
-                    c(blk.attn_norm),
-                    *[
-                        LoraLinear(c(m.weight), c(m.lora_a), c(m.lora_b), m.gamma)
-                        for m in (blk.q, blk.k, blk.v, blk.o)
-                    ],
-                    c(blk.mlp_norm),
-                    *[
-                        LoraLinear(c(m.weight), c(m.lora_a), c(m.lora_b), m.gamma)
-                        for m in (blk.gate, blk.up, blk.down)
-                    ],
-                    head_dim=blk.head_dim,
-                )
-            )
-        return LoraModel(self.config, c(self.tok_embedding), c(self.pos_embedding), blocks, c(self.final_norm), c(self.head))
+        return LoraModel(self.config, {name: t.copy() for name, t in self.parameters().items()})
 
     def merge_all_lora(self) -> None:
         for mod in self.lora_linears().values():
@@ -304,36 +285,46 @@ class LoraModel:
         return self.config.vocab_size
 
 
-def _init_linear(rng: np.random.Generator, out_dim: int, in_dim: int, rank: int, gamma: float, trainable_host: bool) -> LoraLinear:
-    w = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(out_dim, in_dim)), requires_grad=trainable_host)
-    if rank == 0:
-        return LoraLinear(w, None, None, gamma)
-    a = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(rank, in_dim)), requires_grad=True)
-    b = Tensor(np.zeros((out_dim, rank)), requires_grad=True)
-    return LoraLinear(w, a, b, gamma)
+def parameter_shapes(config: ModelConfig, block_dims) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in model order, for blocks of the
+    given ``(n_heads, head_dim, mlp_dim)``. Each projection carries both
+    LoRA factors exactly when ``config.lora_rank`` > 0."""
+    d, r = config.dim, config.lora_rank
+    shapes = {"tok_embedding": (config.vocab_size, d), "pos_embedding": (config.block_size, d)}
+    for i, (n_heads, head_dim, mlp_dim) in enumerate(block_dims):
+        inner, prefix = n_heads * head_dim, f"blocks.{i}"
+        shapes[f"{prefix}.attn_norm.gain"] = (d,)
+        for name, (out_dim, in_dim) in {
+            "attn.q": (inner, d), "attn.k": (inner, d), "attn.v": (inner, d), "attn.o": (d, inner),
+            "mlp.gate": (mlp_dim, d), "mlp.up": (mlp_dim, d), "mlp.down": (d, mlp_dim),
+        }.items():
+            shapes[f"{prefix}.{name}.weight"] = (out_dim, in_dim)
+            if r:
+                shapes[f"{prefix}.{name}.lora_A"] = (r, in_dim)
+                shapes[f"{prefix}.{name}.lora_B"] = (out_dim, r)
+        shapes[f"{prefix}.mlp_norm.gain"] = (d,)
+    shapes["final_norm.gain"] = (d,)
+    shapes["head.weight"] = (config.vocab_size, d)
+    return shapes
 
 
 def build_model(config: ModelConfig) -> LoraModel:
-    """Deterministic init from the config seed; lora_B starts all-zero."""
+    """Deterministic init from the config seed, drawn in model order: gains
+    one, lora_B zero, embeddings N(0, 0.02), every other matrix N(0, 1/sqrt(in))."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x10DE]))
-    d, r, g = config.dim, config.lora_rank, config.lora_gamma
-    tok = Tensor(rng.normal(0.0, 0.02, size=(config.vocab_size, d)))
-    pos = Tensor(rng.normal(0.0, 0.02, size=(config.block_size, d)))
-    blocks = []
-    for _ in range(config.n_layers):
-        attn_norm = Tensor(np.ones(d))
-        q = _init_linear(rng, d, d, r, g, False)
-        k = _init_linear(rng, d, d, r, g, False)
-        v = _init_linear(rng, d, d, r, g, False)
-        o = _init_linear(rng, d, d, r, g, False)
-        mlp_norm = Tensor(np.ones(d))
-        gate = _init_linear(rng, config.mlp_dim, d, r, g, False)
-        up = _init_linear(rng, config.mlp_dim, d, r, g, False)
-        down = _init_linear(rng, d, config.mlp_dim, r, g, False)
-        blocks.append(Block(attn_norm, q, k, v, o, mlp_norm, gate, up, down, config.head_dim))
-    final_norm = Tensor(np.ones(d))
-    head = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), size=(config.vocab_size, d)))
-    model = LoraModel(config, tok, pos, blocks, final_norm, head)
+    params = {}
+    dims = [(config.n_heads, config.head_dim, config.mlp_dim)] * config.n_layers
+    for name, shape in parameter_shapes(config, dims).items():
+        if name.endswith(".gain"):
+            data = np.ones(shape)
+        elif name.endswith(".lora_B"):
+            data = np.zeros(shape)
+        elif name.endswith("_embedding"):
+            data = rng.normal(0.0, 0.02, size=shape)
+        else:
+            data = rng.normal(0.0, 1.0 / math.sqrt(shape[1]), size=shape)
+        params[name] = Tensor(data)
+    model = LoraModel(config, params)
     model.set_trainable("none")
     return model
 

@@ -20,7 +20,7 @@ from .artifacts import event_log, read_json, write_atomic, write_json
 from .checkpoint import checkpoint_extra, load_checkpoint, model_meta, save_checkpoint
 from .config import PipelineConfig, write_config
 from .data import SourceTaggedCorpus, corpora_from_json, generate_corpus, save_corpora
-from .errors import FormatError, NumericError, StageError
+from .errors import ConfigError, FormatError, NumericError, StageError
 from .evaluate import mean_cross_entropy, per_source_perplexity
 from .graph import build_trace_graph, graph_to_json
 from .groups import STATUSES, GroupSet, dump_groups, discover_node_groups, partition_variables
@@ -198,6 +198,13 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     prunable_before = group_set.prunable_ids()
     n_prunable = len(prunable_before)
     target = derive_target_zero_groups(cfg, group_set)
+    if target == len(group_set.groups):
+        # the one config check that needs analyze's group count
+        raise ConfigError(
+            f"config.lhspg.pruning_ratio {cfg.lhspg.pruning_ratio} with config.analysis.unprunable_fraction "
+            f"{cfg.analysis.unprunable_fraction} removes all {target} structure groups, every head and "
+            "MLP channel, which leaves recovery nothing to train"
+        )
     lh = cfg.lhspg
     warm_state: dict = {}
     result = run_lhspg(

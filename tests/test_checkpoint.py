@@ -215,6 +215,12 @@ def unchanged(x):
     return x
 
 
+def third_block(named):
+    """Block 0's tensors again, as block 2."""
+    copies = [(n.replace("blocks.0.", "blocks.2.", 1), a) for n, a in named if n.startswith("blocks.0.")]
+    return named + copies
+
+
 def write_head_split(path, model, n_heads: int, head_dim: int):
     """A checkpoint of ``model`` whose block 0 meta splits attention into
     ``n_heads`` heads of ``head_dim``, with q/k/v rows and o columns cut to match."""
@@ -239,19 +245,25 @@ def write_head_split(path, model, n_heads: int, head_dim: int):
      "tensor blocks.2.attn.q.weight has no slot"),
     # a compact checkpoint whose meta still states the width it was pruned from
     (unchanged, mlp_rows(46),
-     r"tensor blocks.0.mlp.gate.lora_B has shape \(46, 4\), the meta implies \(64, 4\)"),
+     r"tensor blocks.0.mlp.gate.weight has shape \(46, 32\), the meta implies \(64, 32\)"),
     (lambda m: m["blocks"][1].update(n_heads=3), unchanged,
-     r"tensor blocks.1.attn.q.lora_B has shape \(32, 4\), the meta implies \(24, 4\)"),
+     r"tensor blocks.1.attn.q.weight has shape \(32, 32\), the meta implies \(24, 32\)"),
     (lambda m: m["blocks"][0].update(head_dim=4), unchanged,
-     r"tensor blocks.0.attn.q.lora_B has shape \(32, 4\), the meta implies \(16, 4\)"),
+     r"tensor blocks.0.attn.q.weight has shape \(32, 32\), the meta implies \(16, 32\)"),
     (lambda m: m["config"].update(dim=16), unchanged,
-     r"tensor blocks.0.attn_norm.gain has shape \(32,\), the meta implies \(16,\)"),
+     r"tensor tok_embedding has shape \(64, 32\), the meta implies \(64, 16\)"),
     (lambda m: m["config"].update(lora_rank=2), unchanged,
      r"tensor blocks.0.attn.q.lora_A has shape \(4, 32\), the meta implies \(2, 32\)"),
     (lambda m: m["blocks"][0].update(n_heads=-4, head_dim=-8), unchanged,
      r"block 0 meta has invalid dims \[-4, -8, 64\]"),
+    # a third block, tensors and all, under a config of two
+    (lambda m: m["blocks"].append(m["blocks"][0]), third_block,
+     "meta lists 3 blocks, config n_layers is 2"),
+    # a rank-4 checkpoint whose q projection has no adaptor
+    (unchanged, lambda named: [(n, a) for n, a in named if not n.startswith("blocks.0.attn.q.lora_")],
+     "missing tensor blocks.0.attn.q.lora_A"),
 ], ids=["duplicate", "unknown-name", "mlp_dim-over-46-rows", "n_heads", "head_dim", "config-dim",
-        "config-lora_rank", "negative-dims"])
+        "config-lora_rank", "negative-dims", "blocks-past-n_layers", "unadapted-projection"])
 def test_table_contradicting_itself_or_the_meta_is_a_format_error(
     toy_model, tmp_path, edit_meta, edit_named, message
 ):

@@ -95,6 +95,7 @@ def with_field(key: str, value):
 # values that break each rule of config.RULES, by path under ``config.``
 RULE_VIOLATIONS = {
     "seed": [-1],
+    "model.lora_rank": [0],
     "data.pretraining_sources": [[], ["nope"], [["markov"]], ["markov", "markov"]],
     "data.instruct_sources": [[], ["qa_copy", 3], ["qa_copy", "qa_lookup", "qa_copy"]],
     "data.train_sequences_per_source": [0],
@@ -230,6 +231,21 @@ class TestExitCodes:
         assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), stage]) == 3
         assert name in capsys.readouterr().err
         assert not output.exists()
+
+    def test_pruning_every_group_is_exit_2_before_any_prune_artifact(self, tmp_path, capsys):
+        cfg = tmp_path / "all.json"
+        cfg.write_text(json.dumps({
+            **MICRO, "pretrain": {"steps": 2},
+            "analysis": {"eval_sequences": 2, "unprunable_fraction": 0},
+            "lhspg": {**MICRO["lhspg"], "pruning_ratio": 1.0},
+        }))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "run-all"]) == 2
+        err = capsys.readouterr().err
+        assert "config.lhspg.pruning_ratio 1.0 with config.analysis.unprunable_fraction 0" in err
+        assert "removes all 36 structure groups" in err
+        assert (out / "groups.json").exists()
+        assert not (out / "lhspg_log.jsonl").exists() and not (out / "prune_summary.json").exists()
 
     def test_missing_artifact_is_exit_3(self, micro_cfg_file, tmp_path):
         rc = main(["--config", str(micro_cfg_file), "--out", str(tmp_path / "empty"), "prune"])

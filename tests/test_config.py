@@ -116,9 +116,13 @@ SECTION_FIELDS = {
 }
 
 
+# the one model field a pipeline needs narrower than ModelConfig allows: prune trains adaptors
+MODEL_RULES = {"model.lora_rank"}
+
+
 def test_every_field_outside_the_model_section_has_a_rule():
     names = {"seed"} | {f"{section}.{name}" for section, members in SECTION_FIELDS.items() for name in members}
-    assert names == {path for path, _, _ in RULES}
+    assert names | MODEL_RULES == {path for path, _, _ in RULES}
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lorashear"

@@ -1,8 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from lorashear.errors import ConfigError, InputError
-from lorashear.model import ModelConfig, build_model, next_token_loss
+from lorashear.model import ModelConfig, build_model, next_token_loss, parameter_shapes
 from lorashear.util import model_hash
 
 from conftest import TOY
@@ -253,3 +257,46 @@ class TestResume:
         assert toy_model.first_reader([]) == 0
         # an equal tensor that is not the model's own is read by no sublayer
         assert toy_model.first_reader([blk1.down.weight.copy()]) == 0
+
+
+class TestLayout:
+    @seed(21)
+    @settings(max_examples=10)
+    @given(
+        n_layers=st.integers(1, 3), n_heads=st.integers(1, 4), head_dim=st.integers(1, 4),
+        mlp_dim=st.integers(1, 8), data=st.data(),
+    )
+    def test_every_model_has_the_tables_names_and_shapes(self, n_layers, n_heads, head_dim, mlp_dim, data):
+        from lorashear.checkpoint import checkpoint_extra, load_checkpoint, save_checkpoint
+        from lorashear.compress import apply_compression, plan_compression
+        from lorashear.graph import build_trace_graph
+        from lorashear.groups import discover_node_groups, partition_variables
+
+        dim = n_heads * head_dim
+        lora_rank = data.draw(st.integers(0, min(3, dim - 1)), label="lora_rank")
+        config = ModelConfig(vocab_size=8, dim=dim, n_layers=n_layers, n_heads=n_heads, mlp_dim=mlp_dim,
+                             lora_rank=lora_rank, block_size=4, seed=2)
+        model = build_model(config)
+        group_set = partition_variables(discover_node_groups(build_trace_graph(model)), model)
+        # any subset, so a block may lose every head or every channel
+        removed = [g for g in group_set.groups if data.draw(st.booleans(), label=g.id)]
+        for g in removed:
+            group_set.set_status(g.id, "redundant")
+        compact = apply_compression(model, plan_compression(group_set, model))
+        with tempfile.TemporaryDirectory() as tmp:
+            f, resaved = Path(tmp) / "f.lshr", Path(tmp) / "g.lshr"
+            save_checkpoint(compact, f, extra={"stage": "test"})
+            loaded = load_checkpoint(f)
+            save_checkpoint(loaded, resaved, extra=checkpoint_extra(f))
+            assert resaved.read_bytes() == f.read_bytes()
+
+        def lost(i, kind):
+            return sum(g.id.startswith(f"blocks.{i}.{kind}") for g in removed)
+
+        full = [(n_heads, head_dim, mlp_dim)] * n_layers
+        erased = [
+            (n_heads - lost(i, "attn:head:"), head_dim, mlp_dim - lost(i, "mlp:ch:")) for i in range(n_layers)
+        ]
+        for m, dims in ((model, full), (model.clone(), full), (compact, erased), (loaded, erased)):
+            table = list(parameter_shapes(config, dims).items())
+            assert [(n, t.shape) for n, t in m.parameters().items()] == table
