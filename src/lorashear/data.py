@@ -192,24 +192,27 @@ def save_corpora(corpora: dict[str, SourceTaggedCorpus], seq_len: int, path, ext
 
 def corpora_from_json(payload: dict, vocab_size: int) -> dict[str, SourceTaggedCorpus]:
     """Corpora of a ``corpus.json`` payload; FormatError for any other schema,
-    for a token id that is not a JSON integer (``true`` included) and for one
-    outside ``[0, vocab_size)``."""
+    for a token id that is not a JSON integer (``true`` included), for one
+    outside ``[0, vocab_size)`` and for a split that is not a non-empty
+    matrix of the payload's ``seq_len + 1`` ids per row."""
     if payload.get("schema_version") != 1:
         raise FormatError("unsupported corpus schema")
 
-    def ids(rows) -> np.ndarray:
+    def ids(rows, where: str) -> np.ndarray:
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise ValueError("token ids must be JSON integers")
         out = np.asarray(rows, dtype=np.int64)
         if out.size and (out.min() < 0 or out.max() >= vocab_size):
             raise ValueError(f"token id outside [0, {vocab_size})")
+        if out.ndim != 2 or not len(out) or out.shape[1] != payload["seq_len"] + 1:
+            raise ValueError(f"{where} of shape {out.shape} is not a non-empty matrix of seq_len + 1 ids")
         return out
 
     try:
         corpora = {}
         for name, sources in payload["corpora"].items():
             pools = {
-                src: SourcePool(src, train=ids(d["train"]), val=ids(d["val"]))
+                src: SourcePool(src, *(ids(d[split], f"{name}.{src}.{split}") for split in ("train", "val")))
                 for src, d in sources.items()
             }
             corpora[name] = SourceTaggedCorpus(name=name, sources=pools)

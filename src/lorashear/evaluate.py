@@ -61,8 +61,24 @@ def perplexity(model: LoraModel, sequences: np.ndarray) -> float:
     return math.exp(mean_cross_entropy(model, sequences))
 
 
-def per_source_perplexity(model: LoraModel, corpus: SourceTaggedCorpus) -> dict[str, float]:
-    """Perplexity of each source's validation split, by source name."""
+def source_losses(model: LoraModel, corpus: SourceTaggedCorpus) -> dict[str, float]:
+    """Mean cross entropy of each source's validation split: one model state's one scoring pass."""
     if not corpus.sources:
         raise ConfigError(f"corpus {corpus.name!r} has no sources")
-    return {name: perplexity(model, src.val) for name, src in sorted(corpus.sources.items())}
+    losses = {}
+    for name, src in sorted(corpus.sources.items()):
+        if src.val.size == 0:
+            raise ConfigError(f"source {name!r} has an empty validation split")
+        losses[name] = mean_cross_entropy(model, src.val)
+    return losses
+
+
+def pooled_loss(losses: dict[str, float], corpus: SourceTaggedCorpus) -> float:
+    """Token-weighted mean of ``source_losses``: the loss of the pooled validation split."""
+    tokens = {name: corpus.sources[name].val[:, 1:].size for name in losses}
+    return sum(losses[name] * tokens[name] for name in losses) / sum(tokens.values())
+
+
+def per_source_perplexity(model: LoraModel, corpus: SourceTaggedCorpus) -> dict[str, float]:
+    """Perplexity of each source's validation split, by source name."""
+    return {name: math.exp(loss) for name, loss in source_losses(model, corpus).items()}

@@ -365,12 +365,10 @@ def frozen_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
 
 def effective_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
     """Same as frozen_slice_vector but on host + gamma*B@A effective weights."""
-    modules = {f"{name}.weight": mod for name, mod in model.lora_linears().items()}
-    params = model.parameters()
     parts = []
     for s in group.host_slices():
-        mod = modules[s.param]
-        w = params[s.param].data
+        mod = model.lora_linears()[s.param.removesuffix(".weight")]
+        w = model.parameters()[s.param].data
         idx = list(s.indices)
         if s.axis == 0:
             part = w[idx, :].copy()

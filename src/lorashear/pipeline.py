@@ -10,6 +10,7 @@ stage derives its randomness from the single pipeline seed.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .checkpoint import checkpoint_extra, load_checkpoint, model_meta, save_chec
 from .config import PipelineConfig, write_config
 from .data import SourceTaggedCorpus, corpora_from_json, generate_corpus, save_corpora
 from .errors import ConfigError, FormatError, NumericError, StageError
-from .evaluate import mean_cross_entropy, per_source_perplexity
+from .evaluate import per_source_perplexity, pooled_loss, source_losses
 from .graph import build_trace_graph, graph_to_json
 from .groups import STATUSES, GroupSet, dump_groups, discover_node_groups, partition_variables
 from .lhspg import run_lhspg
@@ -191,7 +192,6 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     model = _require(out, "model_full.lshr", "prune", cfg)
     corpus = _corpora(out, "prune", cfg)["pretraining"]
     groups_payload = _require(out, "groups.json", "prune", cfg)
-    heldout = corpus.val_pool()
     node_groups, group_set = _analysis_structures(model)
     _apply_statuses(group_set, groups_payload, "groups.json", "prune")
 
@@ -225,8 +225,8 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
         "pruning_ratio": lh.pruning_ratio,
         "prunable_groups": n_prunable,
         "redundant_groups": sorted(result.state.redundant),
-        "lhspg_heldout_loss": mean_cross_entropy(model, heldout),
-        "oneshot_heldout_loss": mean_cross_entropy(oneshot, heldout),
+        "lhspg_heldout_loss": pooled_loss(source_losses(model, corpus), corpus),
+        "oneshot_heldout_loss": pooled_loss(source_losses(oneshot, corpus), corpus),
         "oneshot_groups": sorted(oneshot_ids),
     }
     write_json(out / "prune_summary.json", summary)
@@ -294,11 +294,12 @@ def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) 
         model = _load_model(path, "stage eval")
         per_corpus = {}
         for phase, corpus in sorted(corpora.items()):
-            scores = per_source_perplexity(model, corpus)
+            losses = source_losses(model, corpus)
+            scores = {name: math.exp(loss) for name, loss in losses.items()}
             per_corpus[phase] = {
                 "per_source": scores,
                 "mean_ppl": float(np.mean(list(scores.values()))),
-                "val_loss": mean_cross_entropy(model, corpus.val_pool()),
+                "val_loss": pooled_loss(losses, corpus),
             }
         results[path.name] = {"parameters": model.parameter_count(), "corpora": per_corpus}
     write_json(out / "eval.json", {**_stamp(cfg, "eval"), "models": results})

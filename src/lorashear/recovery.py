@@ -1,12 +1,13 @@
 """Dynamic knowledge recovery for the compact model.
 
 Two phases in order, pretraining-style then instruction-style. Each round
-measures per-source perplexity degradation against cached full-model
-reference scores, builds a training subset that prioritizes degraded
-sources while guaranteeing every source a floor allocation, runs LoRA-only
-fine-tuning on it, and checks a patience-based convergence tracker on the
-phase's validation loss. The adaptor is folded into the weights when a
-phase converges; shapes never change.
+builds a training subset that prioritizes sources by their perplexity
+degradation against cached full-model reference scores, guaranteeing every
+source a floor allocation, and runs LoRA-only fine-tuning on it. Each model
+state is scored once: the per-source scores taken after a round give the
+phase's pooled validation loss, which a patience-based convergence tracker
+checks, and the next round's degradation. The adaptor is folded into the
+weights when a phase converges; shapes never change.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .artifacts import event_log
 from .config import RecoverySection
 from .data import SourceTaggedCorpus
 from .errors import ConfigError
-from .evaluate import mean_cross_entropy, per_source_perplexity
+from .evaluate import pooled_loss, source_losses
 from .model import LoraModel
 from .optim import lora_optimizer, train_step
 
@@ -43,23 +44,14 @@ class ConvergenceTracker:
         return self.stale_rounds >= self.patience
 
 
-def measure_degradation(
-    model: LoraModel,
-    full_scores: dict[str, float],
-    corpus: SourceTaggedCorpus,
-    scores: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """Per-source ppl(model) - ppl(full reference) on the validation split.
+def measure_degradation(losses: dict[str, float], full_scores: dict[str, float]) -> dict[str, float]:
+    """Per-source ppl - ppl(full reference), from a model's ``source_losses``."""
+    return {name: math.exp(loss) - full_scores[name] for name, loss in losses.items()}
 
-    ``scores``, when given, are ``model``'s per-source validation ppls
-    already measured on this corpus, and are used instead of scoring again.
-    """
-    for name in corpus.source_names:
-        if corpus.sources[name].val.size == 0:
-            raise ConfigError(f"source {name!r} has an empty validation split")
-    if scores is None:
-        scores = per_source_perplexity(model, corpus)
-    return {name: scores[name] - full_scores[name] for name in corpus.source_names}
+
+def _phase_ppl(losses: dict[str, dict[str, float]]) -> dict[str, float]:
+    """``source_losses`` by phase as ppls keyed ``phase/source``."""
+    return {f"{phase}/{name}": math.exp(v) for phase, by in losses.items() for name, v in by.items()}
 
 
 def allocate_subset(
@@ -159,34 +151,24 @@ def run_recovery(
         raise ConfigError("recovery requires at least one corpus phase")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x2EC0]))
 
-    def all_source_ppl() -> dict[str, float]:
-        out = {}
-        for phase in phases:
-            for name, ppl in per_source_perplexity(model, corpora[phase]).items():
-                out[f"{phase}/{name}"] = ppl
-        return out
-
     with event_log(log_path) as emit:
-        pre_ppl = all_source_ppl()
+        start = {phase: source_losses(model, corpora[phase]) for phase in phases}
+        pre_ppl = _phase_ppl(start)
         emit({"event": "start", "pre_ppl": pre_ppl})
         for phase in phases:
             corpus = corpora[phase]
             tracker = ConvergenceTracker(tol=config.tol, patience=config.patience)
-            # the first phase starts from the very model pre_ppl just scored
-            start_scores = (
-                {name: pre_ppl[f"{phase}/{name}"] for name in corpus.source_names}
-                if phase == phases[0]
-                else None
-            )
+            # the first phase starts from the model just scored, a later one
+            # from the model the previous phase's merge changed
+            losses = start[phase] if phase == phases[0] else source_losses(model, corpus)
             for round_idx in range(config.max_rounds):
-                degradation = measure_degradation(
-                    model, full_scores[phase], corpus, start_scores if round_idx == 0 else None
-                )
+                degradation = measure_degradation(losses, full_scores[phase])
                 subset, allocations = build_subset(
                     corpus, degradation, config.subset_size, config.source_floor, rng
                 )
                 recovery_round(model, subset, config, rng)
-                val_loss = mean_cross_entropy(model, corpus.val_pool())
+                losses = source_losses(model, corpus)
+                val_loss = pooled_loss(losses, corpus)
                 converged = tracker.update(val_loss)
                 emit(
                     {
@@ -204,6 +186,6 @@ def run_recovery(
                     break
             model.merge_all_lora()
             emit({"event": "phase_end", "phase": phase})
-        post_ppl = all_source_ppl()
+        post_ppl = _phase_ppl({phase: source_losses(model, corpora[phase]) for phase in phases})
         emit({"event": "done", "post_ppl": post_ppl})
         return RecoverySummary(pre_ppl=pre_ppl, post_ppl=post_ppl)

@@ -305,6 +305,13 @@ class TestExitCodes:
         *({"pretraining": {"markov": {"train": [[0, token]], "val": []}}} for token in (64, -1, 10**30)),
         # ids that are not JSON integers
         *({"pretraining": {"markov": {"train": [row], "val": []}}} for row in ([1.5, 2.9, True], [0, True])),
+        # splits that are not non-empty matrices of seq_len + 1 = 33 ids
+        *({"pretraining": {"markov": split}} for split in (
+            {"train": [[0] * 33], "val": []},
+            {"train": [], "val": [[0] * 33]},
+            {"train": [[0] * 10], "val": [[0] * 33]},
+            {"train": [[0] * 33], "val": [[0] * 33, [0] * 32]},
+        )),
     ])
     def test_corpus_without_valid_corpora_before_eval_is_exit_3(
         self, micro_cfg_file, finished_run, tmp_path, capsys, corpora
@@ -321,6 +328,24 @@ class TestExitCodes:
         assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "eval"]) == 3
         assert "corpus.json: corpus schema violated" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("split,rows", [("val", []), ("train", []), ("train", "cut")])
+    def test_corpus_with_a_tampered_split_before_prune_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, split, rows
+    ):
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        for name in pipeline.ARTIFACTS["prune"]:
+            (tmp_path / name).unlink()
+        payload = json.loads((finished_run / "corpus.json").read_text())
+        markov = payload["corpora"]["pretraining"]["markov"]
+        markov[split] = [row[:10] for row in markov[split]] if rows == "cut" else rows
+        (tmp_path / "corpus.json").write_text(json.dumps(payload))
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "prune"]) == 3
+        err = capsys.readouterr().err
+        assert "corpus.json: corpus schema violated" in err
+        assert f"pretraining.markov.{split}" in err
+        assert not any((tmp_path / name).exists() for name in pipeline.ARTIFACTS["prune"])
 
     @pytest.mark.parametrize(
         "stage,name", [("analyze", "model_full.lshr"), ("compress", "model_pruned.lshr")]
@@ -422,6 +447,38 @@ class TestStages:
             assert list(payload["models"]) == ["model_full.lshr"]
         finally:
             (finished_run / "eval.json").write_bytes(original)
+
+    def test_eval_scores_each_source_of_each_checkpoint_once(
+        self, micro_cfg_file, finished_run, tmp_path, monkeypatch
+    ):
+        import lorashear.evaluate as evaluate
+        from lorashear.data import SourceTaggedCorpus
+
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        (tmp_path / "eval.json").unlink()
+        scored = []
+        score = evaluate.mean_cross_entropy
+
+        def counted(model, sequences, **kwargs):
+            scored.append(np.asarray(sequences))
+            return score(model, sequences, **kwargs)
+
+        def no_pool(corpus):
+            raise AssertionError("eval scored a pooled validation split")
+
+        monkeypatch.setattr(evaluate, "mean_cross_entropy", counted)
+        monkeypatch.setattr(SourceTaggedCorpus, "val_pool", no_pool)
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "eval"]) == 0
+        assert (tmp_path / "eval.json").read_bytes() == (finished_run / "eval.json").read_bytes()
+        payload = json.loads((finished_run / "corpus.json").read_text())
+        splits = [
+            np.asarray(src["val"]) for _, corpus in sorted(payload["corpora"].items())
+            for _, src in sorted(corpus.items())
+        ]
+        expected = splits * 4  # model_full, model_pruned, model_compact, model_recovered
+        assert len(scored) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(scored, expected))
 
     def test_run_all_byte_reproducible(self, micro_cfg_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -7,13 +7,21 @@ from lorashear.artifacts import read_json
 from lorashear.data import (
     INSTRUCT_KINDS,
     PRETRAIN_KINDS,
+    SourcePool,
+    SourceTaggedCorpus,
     _gen_markov,
     corpora_from_json,
     generate_corpus,
     save_corpora,
 )
 from lorashear.errors import ConfigError, FormatError
-from lorashear.evaluate import mean_cross_entropy, per_source_perplexity, perplexity
+from lorashear.evaluate import (
+    mean_cross_entropy,
+    per_source_perplexity,
+    perplexity,
+    pooled_loss,
+    source_losses,
+)
 from lorashear.model import next_token_loss
 
 
@@ -120,6 +128,20 @@ class TestEvaluate:
         whole = mean_cross_entropy(toy_model, pool)
         manual = np.mean([next_token_loss(toy_model, pool[i:i + 1]).item() for i in range(len(pool))])
         assert whole == pytest.approx(manual, rel=1e-10)
+
+    def test_pooled_loss_equals_scoring_the_pooled_split(self, trained_toy):
+        # splits of unequal length, so the token weighting matters
+        model, trained = trained_toy
+        corpus = SourceTaggedCorpus("uneven", {
+            name: SourcePool(name, src.train, src.train[:n])
+            for (name, src), n in zip(sorted(trained.sources.items()), (3, 9, 26, 40))
+        })
+        pooled = pooled_loss(source_losses(model, corpus), corpus)
+        assert pooled == pytest.approx(mean_cross_entropy(model, corpus.val_pool()), rel=1e-12, abs=0)
+
+    def test_per_source_perplexity_is_exp_of_source_losses(self, toy_model, toy_corpus):
+        losses = source_losses(toy_model, toy_corpus)
+        assert per_source_perplexity(toy_model, toy_corpus) == {n: math.exp(v) for n, v in losses.items()}
 
     def test_per_source_keys_and_determinism(self, toy_model, toy_corpus):
         a = per_source_perplexity(toy_model, toy_corpus)

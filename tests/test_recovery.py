@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from lorashear.config import RecoverySection
 from lorashear.data import SourcePool, SourceTaggedCorpus, generate_corpus
 from lorashear.errors import ConfigError, NumericError
-from lorashear.evaluate import per_source_perplexity
+from lorashear.evaluate import per_source_perplexity, source_losses
 from lorashear.recovery import (
     ConvergenceTracker,
     allocate_subset,
@@ -130,7 +130,7 @@ class TestBuildSubset:
 class TestDegradation:
     def test_identical_models_have_zero_degradation(self, toy_model, toy_corpus):
         full_scores = per_source_perplexity(toy_model, toy_corpus)
-        deg = measure_degradation(toy_model.clone(), full_scores, toy_corpus)
+        deg = measure_degradation(source_losses(toy_model.clone(), toy_corpus), full_scores)
         assert all(v == 0.0 for v in deg.values())
 
     def test_unseen_source_still_measured(self, trained_toy):
@@ -142,7 +142,7 @@ class TestDegradation:
         full_scores = per_source_perplexity(model, instruct)
         worse = model.clone()
         worse.parameters()["head.weight"].data *= 0.5
-        deg = measure_degradation(worse, full_scores, instruct)
+        deg = measure_degradation(source_losses(worse, instruct), full_scores)
         assert sorted(deg) == ["qa_copy", "qa_lookup"]
         assert all(np.isfinite(v) for v in deg.values())
 
@@ -150,8 +150,8 @@ class TestDegradation:
         corpus = SourceTaggedCorpus(
             "t", {"a": SourcePool("a", np.zeros((3, 6), dtype=np.int64), np.zeros((0, 6), dtype=np.int64))}
         )
-        with pytest.raises(ConfigError, match="empty validation"):
-            measure_degradation(toy_model, {"a": 1.0}, corpus)
+        with pytest.raises(ConfigError, match="source 'a' has an empty validation split"):
+            source_losses(toy_model, corpus)
 
 
 class TestTracker:
@@ -261,15 +261,16 @@ class TestRunRecovery:
 
         def counted(*args, **kwargs):
             calls.append(args[1].name)
-            return per_source_perplexity(*args, **kwargs)
+            return source_losses(*args, **kwargs)
 
-        monkeypatch.setattr(recovery, "per_source_perplexity", counted)
+        monkeypatch.setattr(recovery, "source_losses", counted)
         log = tmp_path / "rec.jsonl"
         run_recovery(compact, corpora, full_scores, config, 3, log_path=log)
         rounds = [e for e in map(json.loads, log.read_text().splitlines()) if e["event"] == "round"]
-        # start and done score both phases; every round but the first phase's first scores its own
-        assert len(calls) == 2 * len(corpora) + len(rounds) - 1
-        fresh = measure_degradation(start, full_scores["pretraining"], corpora["pretraining"])
+        # start and done score every phase, each later phase's start scores its merged
+        # model, and each round scores the model it trained; nothing else scores
+        assert len(calls) == 3 * len(corpora) - 1 + len(rounds)
+        fresh = measure_degradation(source_losses(start, corpora["pretraining"]), full_scores["pretraining"])
         assert rounds[0]["phase"] == "pretraining"
         # bit for bit (JSON round-trips floats exactly)
         assert {k: v.hex() for k, v in rounds[0]["degradation"].items()} == {
