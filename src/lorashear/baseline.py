@@ -11,24 +11,14 @@ from __future__ import annotations
 
 from .groups import GroupSet, zero_structure
 from .model import LoraModel
-from .saliency import effective_l2
+from .saliency import least_salient
 
 
-def one_shot_prune(
-    model: LoraModel,
-    group_set: GroupSet,
-    k: int,
-    candidates: list[str],
-) -> tuple[LoraModel, list[str]]:
-    """Return a pruned clone and the ``k`` of ``candidates`` it zeroed (input untouched).
-
-    Callers comparing against a finished progressive run pass the prunable
-    set as it was before that run reassigned statuses.
-    """
+def one_shot_prune(model: LoraModel, group_set: GroupSet, k: int) -> tuple[LoraModel, list[str]]:
+    """Return a pruned clone and the ids of the ``k`` prunable groups it zeroed (input untouched)."""
     pruned = model.clone()
-    scores = {gid: effective_l2(pruned, group_set.by_id[gid]) for gid in candidates}
-    chosen = sorted(scores, key=lambda gid: (scores[gid], gid))[:k]
+    chosen = least_salient(pruned, [group_set.by_id[gid] for gid in group_set.prunable_ids()], k)
     pruned.merge_all_lora()
-    for gid in chosen:
-        zero_structure(pruned, group_set.by_id[gid])
-    return pruned, chosen
+    for group in chosen:
+        zero_structure(pruned, group)
+    return pruned, [group.id for group in chosen]

@@ -190,11 +190,14 @@ def save_corpora(corpora: dict[str, SourceTaggedCorpus], seq_len: int, path, ext
     write_json(path, corpora_to_json(corpora, seq_len, extra), indent=None)
 
 
-def corpora_from_json(payload: dict, vocab_size: int) -> dict[str, SourceTaggedCorpus]:
+def corpora_from_json(
+    payload: dict, vocab_size: int, expected: dict[str, tuple[str, ...]]
+) -> dict[str, SourceTaggedCorpus]:
     """Corpora of a ``corpus.json`` payload; FormatError for any other schema,
     for a token id that is not a JSON integer (``true`` included), for one
-    outside ``[0, vocab_size)`` and for a split that is not a non-empty
-    matrix of the payload's ``seq_len + 1`` ids per row."""
+    outside ``[0, vocab_size)``, for a split that is not a non-empty matrix
+    of the payload's ``seq_len + 1`` ids per row, and unless the corpus names
+    and each corpus's source names are exactly those of ``expected``."""
     if payload.get("schema_version") != 1:
         raise FormatError("unsupported corpus schema")
 
@@ -216,6 +219,10 @@ def corpora_from_json(payload: dict, vocab_size: int) -> dict[str, SourceTaggedC
                 for src, d in sources.items()
             }
             corpora[name] = SourceTaggedCorpus(name=name, sources=pools)
+        found = {name: corpus.source_names for name, corpus in corpora.items()}
+        want = {name: sorted(kinds) for name, kinds in expected.items()}
+        if found != want:
+            raise ValueError(f"corpora and sources {found} are not the configuration's {want}")
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as e:
         raise FormatError(f"corpus schema violated: {type(e).__name__}: {e}") from e
     return corpora

@@ -27,7 +27,7 @@ from .errors import ConfigError, CorruptionError
 from .evaluate import empty_residuals, mean_cross_entropy, perplexity
 from .groups import GroupSet, NodeGroups, zero_structure
 from .model import LoraModel
-from .saliency import effective_l2
+from .saliency import least_salient
 from .util import model_hash
 
 
@@ -77,7 +77,7 @@ def probe_deviation(
 ) -> float:
     """Mean over ratios of ppl(partially zeroed) - ppl(intact).
 
-    The node group's structures are ranked by (effective_l2, id) once; each ratio
+    The node group's structures are ranked by ``least_salient`` once; each ratio
     zeroes the first ``ceil(ratio * n)`` of them. ``residuals`` holds the
     intact model's residual streams per evaluation chunk, as ``analyze``
     records them; each ratio's forward then resumes at the latest recorded
@@ -86,12 +86,11 @@ def probe_deviation(
     bit-identically after every ratio; a full-tensor hash mismatch is a
     hard corruption failure.
     """
-    groups = [g for g in group_set.groups if g.node_group == node_group_id]
     pre_hash = model_hash(model)
     if base_ppl is None:
         base_ppl = perplexity(model, eval_seqs)
     params = model.parameters()
-    ranked = sorted(groups, key=lambda g: (effective_l2(model, g), g.id))
+    ranked = least_salient(model, [g for g in group_set.groups if g.node_group == node_group_id])
     deviations = []
     for ratio in ratios:
         chosen = ranked[: math.ceil(ratio * len(ranked))]

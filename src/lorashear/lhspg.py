@@ -1,11 +1,11 @@
 """Progressive structured pruning via half-space projected gradient over LoRA.
 
-The frozen host weights never receive gradient. Each period selects the
-still-important groups of least ``saliency.effective_l2`` as this period's
-redundant set, assigns each a magnitude penalty sized so the penalty alone
-drives the group norm to zero by period end, and then runs plain SGD steps
-on the LoRA factors at the constant ``learning_rate``. Per step, a redundant
-group's frozen slice moves to the trial iterate
+The frozen host weights never receive gradient. The group set holds the
+run's state: each period marks the ``saliency.least_salient`` of the groups
+still ``prunable`` as ``redundant``, assigns each a magnitude penalty sized
+so the penalty alone drives the group norm to zero by period end, and then
+runs plain SGD steps on the LoRA factors at the constant ``learning_rate``.
+Per step, a redundant group's frozen slice moves to the trial iterate
 
     trial = [x + gamma*B@A]_g - penalty_g * [x]_g / ||[x]_g||
 
@@ -19,13 +19,13 @@ the adaptor into the host weights (output-preserving, idempotent).
 
 Groups projected to zero stay zero: the final step of a period force-projects
 any survivor of that period's redundant set, making the zero-group count hit
-the target exactly.
+the target exactly. The groups never selected become ``important`` at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,18 +41,11 @@ from .groups import (
     group_is_zero,
     write_frozen_slices,
     zero_lora_slices,
+    zero_structure,
 )
 from .model import LoraModel
 from .optim import lora_optimizer, train_step
-from .saliency import effective_l2
-
-
-@dataclass
-class LhspgState:
-    redundant: list[str] = field(default_factory=list)
-    important: list[str] = field(default_factory=list)
-    current: list[str] = field(default_factory=list)  # this period's fresh redundant set
-    penalty: dict[str, float] = field(default_factory=dict)
+from .saliency import least_salient
 
 
 def period_quotas(target: int, periods: int) -> list[int]:
@@ -85,21 +78,6 @@ def warmup(
     return losses
 
 
-def select_redundant(
-    state: LhspgState, quota: int, scores: dict[str, float]
-) -> list[str]:
-    """Move the quota least-salient important groups into the redundant set."""
-    if quota > len(state.important):
-        raise ConfigError(
-            f"redundant quota {quota} exceeds remaining important groups {len(state.important)}"
-        )
-    chosen = sorted(state.important, key=lambda gid: (scores[gid], gid))[:quota]
-    state.important = [gid for gid in state.important if gid not in set(chosen)]
-    state.redundant.extend(chosen)
-    state.current = list(chosen)
-    return chosen
-
-
 def halfspace_project(model: LoraModel, group: StructureGroup, penalty: float, eps: float) -> bool:
     """One projection step on a redundant group's frozen slices.
 
@@ -120,8 +98,8 @@ def halfspace_project(model: LoraModel, group: StructureGroup, penalty: float, e
 
 def lhspg_step(
     model: LoraModel,
-    state: LhspgState,
     group_set: GroupSet,
+    penalty: dict[str, float],
     batch: np.ndarray,
     opt,
     config: LhspgSection,
@@ -129,32 +107,26 @@ def lhspg_step(
 ) -> tuple[float, list[str]]:
     """One optimization step: LoRA update, trial iterates, half-space projection.
 
-    Important groups' frozen slices are untouched; redundant LoRA slices end
-    the step at zero.
+    ``penalty`` holds this period's groups. Important groups' frozen slices
+    are untouched; every redundant group's LoRA slices end the step at zero.
+    A group's trial iterate reads only its own LoRA slices, so zeroing the
+    earlier periods' slices after the projection changes no value.
     """
     value = train_step(model, batch, opt, where="lhspg")
-
-    current = set(state.current)
-    # earlier periods' groups: the gradient step transiently revived their LoRA
-    # slices; kill them before anything can flow through
-    for gid in state.redundant:
-        if gid not in current:
-            zero_lora_slices(model, group_set.by_id[gid])
-
     projected = []
-    for gid in state.current:
-        group = group_set.by_id[gid]
-        if halfspace_project(model, group, state.penalty[gid], config.halfspace_eps):
+    for gid, p in penalty.items():
+        if halfspace_project(model, group_set.by_id[gid], p, config.halfspace_eps):
             projected.append(gid)
     if final_step_of_period:
         # the penalty schedule lands the norm at epsilon scale by now; snap the
         # survivors so the zero-group cardinality is exact
-        for gid in state.current:
+        for gid in penalty:
             group = group_set.by_id[gid]
             if not group_is_zero(model, group):
-                write_frozen_slices(model, group, np.zeros(frozen_slice_vector(model, group).size))
+                zero_structure(model, group)
                 projected.append(gid)
-    for gid in state.current:
+    # the gradient step revived redundant LoRA slices; kill them before the next forward
+    for gid in group_set.ids_with_status("redundant"):
         zero_lora_slices(model, group_set.by_id[gid])
     return value, projected
 
@@ -171,7 +143,6 @@ def end_of_period_merge(model: LoraModel) -> None:
 
 @dataclass
 class LhspgResult:
-    state: LhspgState
     zero_groups: int
     losses: list[float]
 
@@ -196,6 +167,8 @@ def run_lhspg(
     ``config`` is the pipeline's ``lhspg`` section, checked when it loaded
     (its ``pruning_ratio`` gave the caller ``target``); ``seed`` seeds the
     batch draws. A target above the prunable group count is a ConfigError.
+    ``group_set`` statuses are the run's state: a group turns ``redundant``
+    as its period starts and the other prunable groups ``important`` at the end.
 
     Writes a JSON-lines run log with one line per step (step, period, loss,
     zero-group count, groups projected this step) plus period_start / merge /
@@ -227,31 +200,31 @@ def run_lhspg(
         if after_warmup is not None:
             after_warmup(model)
 
-        state = LhspgState(important=list(prunable))
         quotas = period_quotas(target, config.periods)
         opt = lora_optimizer(model, config.learning_rate)
         step = 0
         for period, quota in enumerate(quotas):
-            scores = {gid: effective_l2(model, group_set.by_id[gid]) for gid in state.important}
-            selected = select_redundant(state, quota, scores)
-            for gid in selected:
-                norm = float(np.linalg.norm(frozen_slice_vector(model, group_set.by_id[gid])))
-                state.penalty[gid] = norm / config.steps_per_period
+            pool = [group_set.by_id[gid] for gid in group_set.prunable_ids()]
+            penalty = {}
+            for group in least_salient(model, pool, quota):
+                group_set.set_status(group.id, "redundant")
+                norm = float(np.linalg.norm(frozen_slice_vector(model, group)))
+                penalty[group.id] = norm / config.steps_per_period
             emit(
                 {
                     "event": "period_start",
                     "period": period,
                     "quota": quota,
-                    "selected": selected,
-                    "penalty": {gid: state.penalty[gid] for gid in selected},
+                    "selected": list(penalty),
+                    "penalty": penalty,
                 },
             )
             for t in range(config.steps_per_period):
                 batch = sample_batch(rng, config.batch_size)
                 value, projected = lhspg_step(
                     model,
-                    state,
                     group_set,
+                    penalty,
                     batch,
                     opt,
                     config,
@@ -273,14 +246,14 @@ def run_lhspg(
             emit({"event": "merge", "period": period})
 
         zero = count_zero_groups(model, group_set, prunable)
-        for gid in prunable:
-            group_set.set_status(gid, "redundant" if gid in set(state.redundant) else "important")
+        for gid in group_set.prunable_ids():
+            group_set.set_status(gid, "important")
         emit(
             {
                 "event": "done",
                 "target": target,
                 "zero_groups": zero,
-                "redundant": sorted(state.redundant),
+                "redundant": group_set.ids_with_status("redundant"),
             },
         )
-        return LhspgResult(state=state, zero_groups=zero, losses=losses)
+        return LhspgResult(zero_groups=zero, losses=losses)

@@ -79,10 +79,18 @@ def _load_model(path: Path, where: str) -> LoraModel:
         raise StageError(f"{where}: checkpoint {path.name} is corrupt: {e}") from e
 
 
+def corpus_sources(cfg: PipelineConfig) -> dict[str, tuple[str, ...]]:
+    """Each corpus the pipeline uses and its source names, in generation order."""
+    return {
+        "pretraining": tuple(cfg.data.pretraining_sources),
+        "instruct": tuple(cfg.data.instruct_sources),
+    }
+
+
 def _corpora(out: Path, stage: str, cfg: PipelineConfig) -> dict[str, SourceTaggedCorpus]:
     payload = _require(out, "corpus.json", stage, cfg)
     try:
-        return corpora_from_json(payload, cfg.model.vocab_size)
+        return corpora_from_json(payload, cfg.model.vocab_size, corpus_sources(cfg))
     except FormatError as e:
         raise StageError(f"stage {stage}: prerequisite artifact corpus.json: {e}") from e
 
@@ -103,12 +111,15 @@ def _fields_of(name: str, stage: str, what: str = "a missing or mistyped field")
         ) from e
 
 
-def _apply_statuses(group_set: GroupSet, payload: dict, name: str, stage: str) -> None:
+def _apply_statuses(
+    group_set: GroupSet, payload: dict, name: str, stage: str, known: tuple[str, ...] = STATUSES
+) -> None:
+    """Set ``group_set`` statuses from a groups file; a status not in ``known`` is a StageError."""
     with _fields_of(name, stage, "no valid group_set"):
         statuses = {g["id"]: g["status"] for g in payload["group_set"]["groups"]}
     if set(statuses) != set(group_set.by_id):
         raise StageError(f"stage {stage}: {name} does not match the model's structure groups")
-    unknown = sorted({str(v) for v in statuses.values() if v not in STATUSES})
+    unknown = sorted({str(v) for v in statuses.values() if v not in known})
     if unknown:
         raise StageError(f"stage {stage}: {name} has unknown group statuses {unknown}")
     for gid, status in statuses.items():
@@ -121,24 +132,16 @@ def _apply_statuses(group_set: GroupSet, payload: dict, name: str, stage: str) -
 def stage_gen_data(cfg: PipelineConfig, out: Path) -> None:
     rng = stage_rng(cfg.seed, "gen-data")
     corpora = {
-        "pretraining": generate_corpus(
-            "pretraining",
-            tuple(cfg.data.pretraining_sources),
+        name: generate_corpus(
+            name,
+            kinds,
             cfg.data.train_sequences_per_source,
             cfg.data.val_sequences_per_source,
             cfg.data.seq_len,
             cfg.model.vocab_size,
             rng,
-        ),
-        "instruct": generate_corpus(
-            "instruct",
-            tuple(cfg.data.instruct_sources),
-            cfg.data.train_sequences_per_source,
-            cfg.data.val_sequences_per_source,
-            cfg.data.seq_len,
-            cfg.model.vocab_size,
-            rng,
-        ),
+        )
+        for name, kinds in corpus_sources(cfg).items()
     }
     save_corpora(corpora, cfg.data.seq_len, out / "corpus.json", _stamp(cfg, "gen-data"))
 
@@ -193,10 +196,10 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     corpus = _corpora(out, "prune", cfg)["pretraining"]
     groups_payload = _require(out, "groups.json", "prune", cfg)
     node_groups, group_set = _analysis_structures(model)
-    _apply_statuses(group_set, groups_payload, "groups.json", "prune")
+    # LHSPG's state is the statuses, so it starts from analyze's two alone
+    _apply_statuses(group_set, groups_payload, "groups.json", "prune", ("prunable", "unprunable"))
 
-    prunable_before = group_set.prunable_ids()
-    n_prunable = len(prunable_before)
+    n_prunable = len(group_set.prunable_ids())
     target = derive_target_zero_groups(cfg, group_set)
     if target == len(group_set.groups):
         # the one config check that needs analyze's group count
@@ -206,7 +209,7 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
             "MLP channel, which leaves recovery nothing to train"
         )
     lh = cfg.lhspg
-    warm_state: dict = {}
+    oneshot: list = []  # (pruned clone, zeroed ids) of the warm model, before any status changes
     result = run_lhspg(
         model,
         group_set,
@@ -215,18 +218,18 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
         cfg.seed,
         corpus.sample_batch,
         log_path=out / "lhspg_log.jsonl",
-        after_warmup=lambda m: warm_state.update(model=m.clone()),
+        after_warmup=lambda m: oneshot.extend(baseline.one_shot_prune(m, group_set, target)),
     )
-    oneshot, oneshot_ids = baseline.one_shot_prune(warm_state["model"], group_set, target, prunable_before)
+    oneshot_model, oneshot_ids = oneshot
     summary = {
         **_stamp(cfg, "prune"),
         "target_zero_groups": target,
         "zero_groups": result.zero_groups,
         "pruning_ratio": lh.pruning_ratio,
         "prunable_groups": n_prunable,
-        "redundant_groups": sorted(result.state.redundant),
+        "redundant_groups": group_set.ids_with_status("redundant"),
         "lhspg_heldout_loss": pooled_loss(source_losses(model, corpus), corpus),
-        "oneshot_heldout_loss": pooled_loss(source_losses(oneshot, corpus), corpus),
+        "oneshot_heldout_loss": pooled_loss(source_losses(oneshot_model, corpus), corpus),
         "oneshot_groups": sorted(oneshot_ids),
     }
     write_json(out / "prune_summary.json", summary)

@@ -72,7 +72,8 @@ def pruned_state(seed_battery):
     runs, _ = seed_battery
     out = runs[SEEDS[0]]
     model = load_checkpoint(out / "model_full.lshr")
-    corpora = corpora_from_json(read_json(out / "corpus.json", FormatError), model.config.vocab_size)
+    payload = read_json(out / "corpus.json", FormatError)
+    corpora = corpora_from_json(payload, model.config.vocab_size, pipeline.corpus_sources(PipelineConfig()))
     return model, corpora["pretraining"]
 
 

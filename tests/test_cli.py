@@ -40,6 +40,17 @@ def finished_run(micro_cfg_file, tmp_path_factory):
     return out
 
 
+# corpora whose corpus or source names are not the configuration's
+RENAMED = (
+    pytest.param(lambda c: {**c, "instruct": {}}, id="instruct-without-sources"),
+    pytest.param(lambda c: {"pretraining": c["pretraining"]}, id="instruct-deleted"),
+    pytest.param(
+        lambda c: {**c, "pretraining": {"zzz" if s == "runs" else s: v for s, v in c["pretraining"].items()}},
+        id="runs-renamed-zzz",
+    ),
+)
+
+
 def tree_digest(root: Path) -> dict[str, str]:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -286,6 +297,19 @@ class TestExitCodes:
         assert "groups.json has no valid group_set" in capsys.readouterr().err
         assert not (tmp_path / "model_pruned.lshr").exists()
 
+    @pytest.mark.parametrize("status", ["redundant", "important"])
+    def test_groups_with_a_pruning_status_before_prune_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, status
+    ):
+        for name in ("config.json", "corpus.json", "model_full.lshr"):
+            (tmp_path / name).write_bytes((finished_run / name).read_bytes())
+        payload = json.loads((finished_run / "groups.json").read_text())
+        payload["group_set"]["groups"][0]["status"] = status
+        (tmp_path / "groups.json").write_text(json.dumps(payload))
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "prune"]) == 3
+        assert f"groups.json has unknown group statuses ['{status}']" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in pipeline.ARTIFACTS["prune"])
+
     def test_groups_with_unknown_status_before_compress_is_exit_3(
         self, micro_cfg_file, finished_run, tmp_path, capsys
     ):
@@ -312,6 +336,7 @@ class TestExitCodes:
             {"train": [[0] * 10], "val": [[0] * 33]},
             {"train": [[0] * 33], "val": [[0] * 33, [0] * 32]},
         )),
+        *RENAMED,
     ])
     def test_corpus_without_valid_corpora_before_eval_is_exit_3(
         self, micro_cfg_file, finished_run, tmp_path, capsys, corpora
@@ -322,12 +347,27 @@ class TestExitCodes:
         if corpora is None:
             del payload["corpora"]
         else:
-            payload["corpora"] = corpora
+            payload["corpora"] = corpora(payload["corpora"]) if callable(corpora) else corpora
         (tmp_path / "corpus.json").write_text(json.dumps(payload))
         (tmp_path / "eval.json").unlink()
         assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "eval"]) == 3
         assert "corpus.json: corpus schema violated" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("rename", RENAMED)
+    def test_corpus_with_other_names_before_recover_is_exit_3(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, rename
+    ):
+        for p in finished_run.iterdir():
+            (tmp_path / p.name).write_bytes(p.read_bytes())
+        for name in pipeline.ARTIFACTS["recover"]:
+            (tmp_path / name).unlink()
+        payload = json.loads((finished_run / "corpus.json").read_text())
+        payload["corpora"] = rename(payload["corpora"])
+        (tmp_path / "corpus.json").write_text(json.dumps(payload))
+        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "recover"]) == 3
+        assert "corpus.json: corpus schema violated" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in pipeline.ARTIFACTS["recover"])
 
     @pytest.mark.parametrize("split,rows", [("val", []), ("train", []), ("train", "cut")])
     def test_corpus_with_a_tampered_split_before_prune_is_exit_3(

@@ -92,7 +92,7 @@ class TestGeneration:
         path = tmp_path / "corpus.json"
         save_corpora({"pretraining": corpus}, 12, path, {"stage": "gen-data"})
         payload = read_json(path, FormatError)
-        loaded = corpora_from_json(payload, 64)
+        loaded = corpora_from_json(payload, 64, {"pretraining": ("markov", "copy")})
         assert payload["stage"] == "gen-data"
         for name in corpus.source_names:
             assert np.array_equal(loaded["pretraining"].sources[name].train,
@@ -102,7 +102,7 @@ class TestGeneration:
     def test_token_ids_that_are_not_json_integers_are_rejected(self, row):
         payload = {"schema_version": 1, "corpora": {"pretraining": {"markov": {"train": [row], "val": []}}}}
         with pytest.raises(FormatError, match="token ids must be JSON integers"):
-            corpora_from_json(payload, 64)
+            corpora_from_json(payload, 64, {"pretraining": ("markov",)})
 
     def test_sample_batch_reproducible(self):
         corpus = generate_corpus("p", ("markov", "runs"), 8, 2, 16, 64, np.random.default_rng(6))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lorashear.config import LhspgSection
 from lorashear.errors import ConfigError, NumericError
+from lorashear.baseline import one_shot_prune
 from lorashear.graph import build_trace_graph
 from lorashear.groups import (
     discover_node_groups,
@@ -13,19 +14,18 @@ from lorashear.groups import (
     frozen_slice_vector,
     group_is_zero,
     partition_variables,
+    write_frozen_slices,
 )
 from lorashear.lhspg import (
-    LhspgState,
     end_of_period_merge,
     halfspace_project,
     period_quotas,
     run_lhspg,
-    select_redundant,
     warmup,
 )
 from lorashear.model import next_token_loss
 from lorashear.optim import Sgd, train_step
-from lorashear.saliency import effective_l2
+from lorashear.saliency import effective_l2, least_salient
 from lorashear.tensor import Tape, Tensor
 from lorashear.util import model_hash
 
@@ -132,27 +132,42 @@ class TestSaliency:
             assert effective_l2(model, g) == pytest.approx(expected, rel=1e-12)
 
 
-class TestSelect:
-    def test_zero_quota_is_a_no_op(self):
-        state = LhspgState(important=["g1", "g2"])
-        assert select_redundant(state, 0, {"g1": 1.0, "g2": 2.0}) == []
-        assert state.important == ["g1", "g2"] and state.redundant == []
+CHANNELS = tuple(f"blocks.0.mlp:ch:00{i}" for i in range(4))
 
-    def test_least_two_selected(self):
-        state = LhspgState(important=["g1", "g2", "g3"])
-        chosen = select_redundant(state, 2, {"g1": 0.1, "g2": 0.5, "g3": 0.2})
-        assert sorted(chosen) == ["g1", "g3"]
-        assert state.important == ["g2"]
 
-    def test_ties_break_toward_lower_group_id(self):
-        state = LhspgState(important=["b", "a", "c"])
-        chosen = select_redundant(state, 2, {"a": 1.0, "b": 1.0, "c": 1.0})
-        assert chosen == ["a", "b"]
+def scaled_channels(model, scales):
+    """Four same-size groups whose effective_l2 is exactly ``scales`` (the adaptor is zero at init)."""
+    _, group_set = structures(model)
+    groups = [group_set.by_id[gid] for gid in CHANNELS]
+    for g, c in zip(groups, scales):
+        write_frozen_slices(model, g, np.full(frozen_slice_vector(model, g).size, c))
+    return groups
 
-    def test_overdraw_raises(self):
-        state = LhspgState(important=["g1"])
-        with pytest.raises(ConfigError, match="quota"):
-            select_redundant(state, 2, {"g1": 0.0})
+
+def ids(groups):
+    return [g.id for g in groups]
+
+
+class TestLeastSalient:
+    def test_ascending_saliency(self, toy_model):
+        groups = scaled_channels(toy_model, (0.3, 0.1, 0.4, 0.2))
+        assert ids(least_salient(toy_model, groups, 3)) == [CHANNELS[1], CHANNELS[3], CHANNELS[0]]
+
+    def test_ties_go_to_the_lower_id(self, toy_model):
+        groups = scaled_channels(toy_model, (0.2, 0.1, 0.2, 0.1))
+        assert ids(least_salient(toy_model, groups[::-1], 3)) == [CHANNELS[1], CHANNELS[3], CHANNELS[0]]
+
+    def test_k_none_keeps_all_and_k_zero_none(self, toy_model):
+        groups = scaled_channels(toy_model, (0.4, 0.3, 0.2, 0.1))
+        assert ids(least_salient(toy_model, groups)) == list(CHANNELS[::-1])
+        assert least_salient(toy_model, groups, 0) == []
+
+    def test_input_order_does_not_matter(self, toy_model):
+        groups = scaled_channels(toy_model, (0.2, 0.4, 0.1, 0.2))
+        ranked = ids(least_salient(toy_model, groups))
+        assert ranked == [CHANNELS[2], CHANNELS[0], CHANNELS[3], CHANNELS[1]]
+        for order in ([3, 1, 0, 2], [2, 3, 1, 0], [1, 0, 3, 2]):
+            assert ids(least_salient(toy_model, [groups[i] for i in order])) == ranked
 
 
 class TestQuotas:
@@ -274,7 +289,7 @@ class TestRun:
         _, group_set = structures(model)
         config = quick_config()
         result = run_lhspg(model, group_set, config, 0, SEED, corpus.sample_batch)
-        assert result.zero_groups == 0 and result.state.redundant == []
+        assert result.zero_groups == 0 and group_set.ids_with_status("redundant") == []
         assert all(s == "important" for s in (group_set.status[g] for g in group_set.by_id))
 
         rng = np.random.default_rng(np.random.SeedSequence([SEED, 0x1A5B]))
@@ -331,8 +346,8 @@ class TestRun:
         )
         assert result.zero_groups == 27
         assert violations == []
-        assert len(result.state.redundant) == 27
-        assert set(zeroed_ever) == set(result.state.redundant)
+        assert len(group_set.ids_with_status("redundant")) == 27
+        assert set(zeroed_ever) == set(group_set.ids_with_status("redundant"))
         # statuses written back
         assert len(group_set.ids_with_status("redundant")) == 27
         assert len(group_set.ids_with_status("important")) == 109
@@ -374,6 +389,35 @@ class TestRun:
             assert group_set.status[gid] == "unprunable"
             assert not group_is_zero(model, group_set.by_id[gid])
 
+    def test_statuses_are_the_run_state(self, trained_toy):
+        # a group turns redundant as its period starts; the rest turn important at done
+        model, corpus = trained_toy
+        _, group_set = structures(model)
+        for g in group_set.groups:
+            if g.node_group == "blocks.1.attn":
+                group_set.set_status(g.id, "unprunable")
+        prunable = group_set.prunable_ids()
+        unprunable = group_set.ids_with_status("unprunable")
+        selected: list[str] = []
+        seen = []
+
+        def inspect(event, m):
+            if event["event"] in ("period_start", "done"):
+                selected.extend(event.get("selected", []))
+                seen.append((event["event"], dict(group_set.status), sorted(selected)))
+
+        config = quick_config(periods=3, steps_per_period=2)
+        run_lhspg(model, group_set, config, 12, SEED, corpus.sample_batch, inspect=inspect)
+        assert [event for event, _, _ in seen] == ["period_start"] * 3 + ["done"]
+        for event, status, chosen in seen:
+            redundant = [gid for gid in prunable if status[gid] == "redundant"]
+            assert redundant == chosen
+            rest = "important" if event == "done" else "prunable"
+            assert all(status[gid] == rest for gid in prunable if gid not in chosen)
+            assert all(status[gid] == "unprunable" for gid in unprunable)
+        assert len(selected) == 12
+        assert sorted(group_set.ids_with_status("redundant", "important")) == sorted(prunable)
+
     def test_run_log_supports_post_hoc_verification(self, trained_toy, tmp_path):
         model, corpus = trained_toy
         _, group_set = structures(model)
@@ -409,3 +453,20 @@ class TestRun:
 
         with pytest.raises(NumericError):
             run_lhspg(model, group_set, quick_config(), 10, SEED, corpus.sample_batch, inspect=poison)
+
+
+class TestOneShot:
+    def test_zeroes_the_least_salient_prunable_groups_of_a_clone(self, trained_toy):
+        model, corpus = trained_toy
+        rng = np.random.default_rng(6)
+        warmup(model, lambda: corpus.sample_batch(rng, 4), steps=5, learning_rate=0.3)
+        _, group_set = structures(model)
+        for g in group_set.groups:  # an unprunable family is never a candidate
+            if g.node_group == "blocks.0.mlp":
+                group_set.set_status(g.id, "unprunable")
+        prunable = [group_set.by_id[gid] for gid in group_set.prunable_ids()]
+        before = model_hash(model)
+        pruned, chosen = one_shot_prune(model, group_set, 9)
+        assert chosen == ids(least_salient(model, prunable, 9))
+        assert model_hash(model) == before
+        assert all(group_is_zero(pruned, group_set.by_id[gid]) for gid in chosen)
