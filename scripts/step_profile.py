@@ -13,7 +13,10 @@ backward, which is what the recorded backward rules keep, and ``tape_ops``:
 the ops that forward records (0 without grad). ``toy`` is the built-in
 model at 8x48 tokens; ``wide`` is perfbench's wide-run-all model (dim 128,
 8 heads, 256 MLP channels) at 4x96 tokens; ``tiny`` is a seconds-long smoke
-shape. Timings depend on the host and its BLAS; peaks do not.
+shape. A last line gives the median ms of ``count_zero_groups`` and of
+``least_salient`` over all prunable structure groups of the same model,
+the two LHSPG readers of every group. Timings depend on the host and its
+BLAS; peaks do not.
 """
 
 from __future__ import annotations
@@ -27,8 +30,12 @@ import tracemalloc
 
 import numpy as np
 
+from lorashear.graph import build_trace_graph
+from lorashear.groups import discover_node_groups, partition_variables
+from lorashear.lhspg import count_zero_groups
 from lorashear.model import ModelConfig, build_model, next_token_loss
 from lorashear.optim import Sgd, train_step
+from lorashear.saliency import least_salient
 from lorashear.tensor import Tape
 
 # name -> (model fields, batch size); sequences are block_size + 1 tokens
@@ -65,6 +72,17 @@ def taped_forward(model, batch) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+def _median_ms(fn, steps: int, warmup: int) -> float:
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(steps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) * 1e3, 3)
+
+
 def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
     fields, batch_size = SHAPES[shape]
     rng = np.random.default_rng(seed)
@@ -74,13 +92,8 @@ def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
     for case in CASES:
         model = build_model(ModelConfig(seed=seed, **fields))
         fn = _case_fn(model, case)
-        for batch in batches[:warmup]:
-            fn(batch)
-        times = []
-        for batch in batches[warmup:warmup + steps]:
-            start = time.perf_counter()
-            fn(batch)
-            times.append(time.perf_counter() - start)
+        draws = iter(batches)
+        median_ms = _median_ms(lambda: fn(next(draws)), steps, warmup)
         tracemalloc.start()
         try:
             fn(batches[-1])
@@ -89,10 +102,24 @@ def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
             tracemalloc.stop()
         saved, ops = taped_forward(model, batches[-1])
         rows.append({"shape": shape, "case": case, "steps": steps,
-                     "median_ms": round(statistics.median(times) * 1e3, 3),
+                     "median_ms": median_ms,
                      "peak_mib": round(peak / 2**20, 3),
                      "saved_mib": round(saved / 2**20, 3), "tape_ops": ops})
     return rows
+
+
+def profile_group_readers(shape: str, steps: int, warmup: int, seed: int = 0) -> dict:
+    """Median ms of the zero count and the saliency ranking over every prunable group."""
+    fields, _ = SHAPES[shape]
+    model = build_model(ModelConfig(seed=seed, **fields))
+    group_set = partition_variables(discover_node_groups(build_trace_graph(model)), model)
+    ids = group_set.prunable_ids()
+    pool = [group_set.by_id[gid] for gid in ids]
+    return {"shape": shape, "case": "group_readers", "steps": steps, "groups": len(ids),
+            "count_zero_groups_ms": _median_ms(lambda: count_zero_groups(model, group_set, ids),
+                                               steps, warmup),
+            "least_salient_ms": _median_ms(lambda: least_salient(model, group_set, pool),
+                                           steps, warmup)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--steps must be >= 1 and --warmup >= 0")
     for row in profile(args.shape, args.steps, args.warmup):
         print(json.dumps(row))
+    print(json.dumps(profile_group_readers(args.shape, args.steps, args.warmup)))
     return 0
 
 

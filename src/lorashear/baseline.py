@@ -17,7 +17,8 @@ from .saliency import least_salient
 def one_shot_prune(model: LoraModel, group_set: GroupSet, k: int) -> tuple[LoraModel, list[str]]:
     """Return a pruned clone and the ids of the ``k`` prunable groups it zeroed (input untouched)."""
     pruned = model.clone()
-    chosen = least_salient(pruned, [group_set.by_id[gid] for gid in group_set.prunable_ids()], k)
+    pool = [group_set.by_id[gid] for gid in group_set.prunable_ids()]
+    chosen = least_salient(pruned, group_set, pool, k)
     pruned.merge_all_lora()
     for group in chosen:
         zero_structure(pruned, group)

@@ -39,30 +39,32 @@ class CompressionPlan:
 
 
 def plan_compression(group_set: GroupSet, model: LoraModel) -> CompressionPlan:
-    """Erase every slice of each redundant structure group, on whichever axis it lies."""
+    """Erase every slice of each redundant structure group, on whichever axis it lies.
+
+    The kept indices of each (tensor, axis) come from one keep-mask over the
+    group set's index.
+    """
     params = model.parameters()
     plan = CompressionPlan()
-    for g in group_set.groups:
-        if group_set.status[g.id] != "redundant":
-            continue
+    redundant = group_set.ids_with_status("redundant")
+    for gid in redundant:
+        g = group_set.by_id[gid]
         if len({s.indices for s in g.slices}) > 1:
             raise PlanError(
                 f"structure group {g.id} has inconsistent slices: "
                 + ", ".join(f"{s.param}[{s.axis}]={list(s.indices)[:4]}" for s in g.slices)
             )
         plan.removed_units.setdefault(g.node_group, []).append(g.unit_index)
-        for s in g.slices:
-            _remove(plan, params, s.param, s.axis, s.indices)
+    selected = group_set.mask(redundant)
+    for (param, axis), entry in group_set.index.items():
+        drop = entry.owned_by(selected)
+        if drop.size:
+            keep = np.ones(params[param].data.shape[axis], dtype=bool)
+            keep[drop] = False
+            plan.kept.setdefault(param, {})[axis] = np.flatnonzero(keep).tolist()
     for fid in plan.removed_units:
         plan.removed_units[fid] = sorted(set(plan.removed_units[fid]))
     return plan
-
-
-def _remove(plan: CompressionPlan, params, param: str, axis: int, channels) -> None:
-    full = params[param].data.shape[axis]
-    current = plan.kept.setdefault(param, {}).setdefault(axis, list(range(full)))
-    drop = set(channels)
-    plan.kept[param][axis] = [i for i in current if i not in drop]
 
 
 def apply_compression(model: LoraModel, plan: CompressionPlan) -> LoraModel:

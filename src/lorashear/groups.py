@@ -23,12 +23,23 @@ to the two basic classes those sit in, so a B factor is in two groups at
 once. Prunable classes partition into structure groups: one per MLP channel
 or attention head, each a set of (tensor, axis, indices) slices that must be
 removed together.
+
+A ``GroupSet`` indexes its groups once per tensor axis: for each (param,
+axis) a structure slice lies on, ``GroupSet.index`` holds the covered
+indices and the ordinal of the group owning each. Building it is the
+disjointness check, and ``verify_group_set`` reads it for coverage. Readers
+that touch every group (zero counts, saliency, LoRA re-zeroing, compression)
+then work per tensor: one reduction or masked assignment per (param, axis),
+scattered to the groups by ordinal, instead of a loop over each group's
+slices.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -105,6 +116,40 @@ class StructureGroup:
 STATUSES = ("prunable", "unprunable", "redundant", "important")
 
 
+@dataclass(frozen=True)
+class AxisIndex:
+    """The indices of one (param, axis) that structure slices cover, and the
+    ordinal (position in ``GroupSet.groups``) of the group owning each."""
+
+    role: str  # the role of every slice on this axis
+    indices: np.ndarray
+    owners: np.ndarray
+
+    def owned_by(self, selected: np.ndarray) -> np.ndarray:
+        """The covered indices whose owner is set in the per-ordinal mask ``selected``."""
+        return self.indices[selected[self.owners]]
+
+
+def build_index(groups: list[StructureGroup]) -> dict[tuple[str, int], AxisIndex]:
+    """One ``AxisIndex`` per (param, axis), in order of first appearance; an
+    index two slices cover is a duplicate-coverage ``AnalysisError``."""
+    covered: dict[tuple[str, int], tuple[str, list[int], list[int]]] = {}
+    for ordinal, g in enumerate(groups):
+        for s in g.slices:
+            _, indices, owners = covered.setdefault((s.param, s.axis), (s.role, [], []))
+            indices.extend(s.indices)
+            owners.extend([ordinal] * len(s.indices))
+    index = {}
+    for (param, axis), (role, indices, owners) in covered.items():
+        if len(set(indices)) != len(indices):
+            dupes = sorted(i for i, n in Counter(indices).items() if n > 1)
+            raise AnalysisError(f"duplicate coverage of {param} axis {axis} indices {dupes[:8]}")
+        index[(param, axis)] = AxisIndex(
+            role, np.array(indices, dtype=np.intp), np.array(owners, dtype=np.intp)
+        )
+    return index
+
+
 @dataclass
 class GroupSet:
     groups: list[StructureGroup]
@@ -112,6 +157,18 @@ class GroupSet:
 
     def __post_init__(self):
         self.by_id = {g.id: g for g in self.groups}
+        self.ordinal = {g.id: i for i, g in enumerate(self.groups)}
+
+    @cached_property
+    def index(self) -> dict[tuple[str, int], AxisIndex]:
+        """The per-(param, axis) index of the groups, built on first use."""
+        return build_index(self.groups)
+
+    def mask(self, ids) -> np.ndarray:
+        """A per-ordinal boolean mask, set for the groups in ``ids``."""
+        selected = np.zeros(len(self.groups), dtype=bool)
+        selected[[self.ordinal[gid] for gid in ids]] = True
+        return selected
 
     def ids_with_status(self, *statuses: str) -> list[str]:
         return [g.id for g in self.groups if self.status[g.id] in statuses]
@@ -309,34 +366,39 @@ def partition_variables(node_groups: NodeGroups, model: LoraModel) -> GroupSet:
 
 
 def verify_group_set(group_set: GroupSet, node_groups: NodeGroups, model: LoraModel) -> None:
-    """Disjointness per (tensor, axis, index) and coverage of prunable axes."""
+    """Disjointness per (tensor, axis, index), from building the index, and
+    coverage of every prunable axis by it."""
     params = model.parameters()
-    seen: dict[tuple[str, int], list[int]] = {}
-    for g in group_set.groups:
-        for s in g.slices:
-            seen.setdefault((s.param, s.axis), []).extend(s.indices)
-    for (param, axis), indices in seen.items():
-        if len(indices) != len(set(indices)):
-            dupes = sorted({i for i in indices if indices.count(i) > 1})
-            raise AnalysisError(f"duplicate coverage of {param} axis {axis} indices {dupes[:8]}")
+    index = group_set.index
     for family in node_groups.prunable_families():
         for m in family.members:
-            covered = set(seen.get((m.param, m.axis), []))
-            expected = set(range(params[m.param].data.shape[m.axis]))
-            if covered != expected:
-                missing = sorted(expected - covered)
+            size = params[m.param].data.shape[m.axis]
+            entry = index.get((m.param, m.axis))
+            covered = entry.indices if entry is not None else np.zeros(0, dtype=np.intp)
+            seen = np.zeros(size, dtype=bool)
+            seen[covered[covered < size]] = True
+            missing = np.flatnonzero(~seen).tolist()
+            if missing or covered.size != size:  # the indices are distinct
                 raise AnalysisError(
                     f"coverage gap on {m.param} axis {m.axis}: missing indices {missing[:8]}"
                 )
 
 
 # ---- slice arithmetic used by probing, pruning, and compression ---------------
+#
+# One group's slices are rows (axis 0) or columns (axis 1) of their tensors,
+# read and written slice by slice. ``nonzero_groups`` and ``zero_lora_slices``
+# serve every group at once from the group set's index: one reduction or one
+# masked assignment per (param, axis), whatever the number of groups.
+
+
+def _at(axis: int, idx) -> tuple:
+    """Index of the rows (axis 0) or columns (axis 1) ``idx`` of a matrix."""
+    return (idx, slice(None)) if axis == 0 else (slice(None), idx)
 
 
 def _index(s: Slice) -> tuple:
-    """Index of the slice's rows (axis 0) or columns (axis 1) in its tensor."""
-    idx = list(s.indices)
-    return (idx, slice(None)) if s.axis == 0 else (slice(None), idx)
+    return _at(s.axis, list(s.indices))
 
 
 def _zero_slices(model: LoraModel, slices: tuple[Slice, ...]) -> None:
@@ -350,8 +412,25 @@ def zero_structure(model: LoraModel, group: StructureGroup) -> None:
     _zero_slices(model, group.slices)
 
 
-def zero_lora_slices(model: LoraModel, group: StructureGroup) -> None:
-    _zero_slices(model, group.lora_slices())
+def zero_lora_slices(model: LoraModel, group_set: GroupSet, ids) -> None:
+    """Zero the LoRA slices of the groups in ``ids``, one assignment per factor axis."""
+    selected = group_set.mask(ids)
+    params = model.parameters()
+    for (param, axis), entry in group_set.index.items():
+        if entry.role != "host":
+            params[param].data[_at(axis, entry.owned_by(selected))] = 0.0
+
+
+def nonzero_groups(model: LoraModel, group_set: GroupSet) -> np.ndarray:
+    """Per ordinal, whether any host entry of the group is nonzero: the
+    negation of ``group_is_zero``, from one any-nonzero mask per host axis."""
+    params = model.parameters()
+    nonzero = np.zeros(len(group_set.groups), dtype=bool)
+    for (param, axis), entry in group_set.index.items():
+        if entry.role == "host":
+            hit = params[param].data.any(axis=1 - axis)[entry.indices]
+            nonzero[entry.owners[hit]] = True
+    return nonzero
 
 
 def frozen_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:

@@ -90,7 +90,8 @@ def probe_deviation(
     if base_ppl is None:
         base_ppl = perplexity(model, eval_seqs)
     params = model.parameters()
-    ranked = least_salient(model, [g for g in group_set.groups if g.node_group == node_group_id])
+    family = [g for g in group_set.groups if g.node_group == node_group_id]
+    ranked = least_salient(model, group_set, family)
     deviations = []
     for ratio in ratios:
         chosen = ranked[: math.ceil(ratio * len(ranked))]

@@ -39,6 +39,7 @@ from .groups import (
     effective_slice_vector,
     frozen_slice_vector,
     group_is_zero,
+    nonzero_groups,
     write_frozen_slices,
     zero_lora_slices,
     zero_structure,
@@ -81,8 +82,9 @@ def warmup(
 def halfspace_project(model: LoraModel, group: StructureGroup, penalty: float, eps: float) -> bool:
     """One projection step on a redundant group's frozen slices.
 
-    Returns True when the group was projected to exactly zero this call.
-    A group whose frozen slice is already zero is treated as projected.
+    Returns True when the group was projected to exactly zero this call. A
+    group whose frozen slice is already zero is left as it is and returns
+    False: it was zeroed before, not by this call.
     """
     x = frozen_slice_vector(model, group)
     norm = float(np.linalg.norm(x))
@@ -126,8 +128,7 @@ def lhspg_step(
                 zero_structure(model, group)
                 projected.append(gid)
     # the gradient step revived redundant LoRA slices; kill them before the next forward
-    for gid in group_set.ids_with_status("redundant"):
-        zero_lora_slices(model, group_set.by_id[gid])
+    zero_lora_slices(model, group_set, group_set.ids_with_status("redundant"))
     return value, projected
 
 
@@ -148,7 +149,8 @@ class LhspgResult:
 
 
 def count_zero_groups(model: LoraModel, group_set: GroupSet, ids: list[str]) -> int:
-    return sum(1 for gid in ids if group_is_zero(model, group_set.by_id[gid]))
+    """How many groups of ``ids`` have all-zero frozen slices, read per host tensor."""
+    return int(np.count_nonzero(group_set.mask(ids) & ~nonzero_groups(model, group_set)))
 
 
 def run_lhspg(
@@ -206,7 +208,7 @@ def run_lhspg(
         for period, quota in enumerate(quotas):
             pool = [group_set.by_id[gid] for gid in group_set.prunable_ids()]
             penalty = {}
-            for group in least_salient(model, pool, quota):
+            for group in least_salient(model, group_set, pool, quota):
                 group_set.set_status(group.id, "redundant")
                 norm = float(np.linalg.norm(frozen_slice_vector(model, group)))
                 penalty[group.id] = norm / config.steps_per_period

@@ -141,7 +141,7 @@ def scaled_channels(model, scales):
     groups = [group_set.by_id[gid] for gid in CHANNELS]
     for g, c in zip(groups, scales):
         write_frozen_slices(model, g, np.full(frozen_slice_vector(model, g).size, c))
-    return groups
+    return group_set, groups
 
 
 def ids(groups):
@@ -150,24 +150,24 @@ def ids(groups):
 
 class TestLeastSalient:
     def test_ascending_saliency(self, toy_model):
-        groups = scaled_channels(toy_model, (0.3, 0.1, 0.4, 0.2))
-        assert ids(least_salient(toy_model, groups, 3)) == [CHANNELS[1], CHANNELS[3], CHANNELS[0]]
+        group_set, groups = scaled_channels(toy_model, (0.3, 0.1, 0.4, 0.2))
+        assert ids(least_salient(toy_model, group_set, groups, 3)) == [CHANNELS[1], CHANNELS[3], CHANNELS[0]]
 
     def test_ties_go_to_the_lower_id(self, toy_model):
-        groups = scaled_channels(toy_model, (0.2, 0.1, 0.2, 0.1))
-        assert ids(least_salient(toy_model, groups[::-1], 3)) == [CHANNELS[1], CHANNELS[3], CHANNELS[0]]
+        group_set, groups = scaled_channels(toy_model, (0.2, 0.1, 0.2, 0.1))
+        assert ids(least_salient(toy_model, group_set, groups[::-1], 3)) == [CHANNELS[1], CHANNELS[3], CHANNELS[0]]
 
     def test_k_none_keeps_all_and_k_zero_none(self, toy_model):
-        groups = scaled_channels(toy_model, (0.4, 0.3, 0.2, 0.1))
-        assert ids(least_salient(toy_model, groups)) == list(CHANNELS[::-1])
-        assert least_salient(toy_model, groups, 0) == []
+        group_set, groups = scaled_channels(toy_model, (0.4, 0.3, 0.2, 0.1))
+        assert ids(least_salient(toy_model, group_set, groups)) == list(CHANNELS[::-1])
+        assert least_salient(toy_model, group_set, groups, 0) == []
 
     def test_input_order_does_not_matter(self, toy_model):
-        groups = scaled_channels(toy_model, (0.2, 0.4, 0.1, 0.2))
-        ranked = ids(least_salient(toy_model, groups))
+        group_set, groups = scaled_channels(toy_model, (0.2, 0.4, 0.1, 0.2))
+        ranked = ids(least_salient(toy_model, group_set, groups))
         assert ranked == [CHANNELS[2], CHANNELS[0], CHANNELS[3], CHANNELS[1]]
         for order in ([3, 1, 0, 2], [2, 3, 1, 0], [1, 0, 3, 2]):
-            assert ids(least_salient(toy_model, [groups[i] for i in order])) == ranked
+            assert ids(least_salient(toy_model, group_set, [groups[i] for i in order])) == ranked
 
 
 class TestQuotas:
@@ -467,6 +467,52 @@ class TestOneShot:
         prunable = [group_set.by_id[gid] for gid in group_set.prunable_ids()]
         before = model_hash(model)
         pruned, chosen = one_shot_prune(model, group_set, 9)
-        assert chosen == ids(least_salient(model, prunable, 9))
+        assert chosen == ids(least_salient(model, group_set, prunable, 9))
         assert model_hash(model) == before
         assert all(group_is_zero(pruned, group_set.by_id[gid]) for gid in chosen)
+
+
+class TestPerGroupWork:
+    def test_per_group_slice_reads_touch_only_the_periods_penalty_groups(self, trained_toy, monkeypatch):
+        # per-group slice reads are quota-sized: penalty norms, projections and
+        # the final snap; zero counts, rankings and re-zeroing read the index
+        import sys
+
+        from lorashear import groups
+
+        model, corpus = trained_toy
+        _, group_set = structures(model)
+        calls: list = []
+        for name in ("frozen_slice_vector", "effective_slice_vector", "group_is_zero"):
+            original = getattr(groups, name)
+
+            def spy(m, group, *rest, _name=name, _original=original):
+                calls.append((_name, group.id))
+                return _original(m, group, *rest)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("lorashear"):
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, spy)
+
+        selected: list[set] = []
+
+        def inspect(event, m):
+            if event["event"] == "period_start":
+                selected.append(set(event["selected"]))
+            elif event["event"] == "merge":
+                calls.append(("merge", None))
+
+        config = quick_config(periods=3, steps_per_period=3)
+        result = run_lhspg(model, group_set, config, 9, SEED, corpus.sample_batch, inspect=inspect)
+        assert result.zero_groups == 9
+        segments: list[list] = [[]]
+        for name, gid in calls:
+            if name == "merge":
+                segments.append([])
+            else:
+                segments[-1].append(gid)
+        assert len(segments) == config.periods + 1 and segments[-1] == []
+        for period, gids in enumerate(segments[:-1]):
+            assert gids and set(gids) <= selected[period], period

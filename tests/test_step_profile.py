@@ -16,8 +16,8 @@ def test_prints_one_json_line_per_case(capsys):
     step_profile = _load()
     assert step_profile.main(["tiny", "--steps", "2", "--warmup", "1"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["case"] for r in rows] == ["lora_step", "all_step", "nograd_forward"]
-    for row in rows:
+    assert [r["case"] for r in rows] == ["lora_step", "all_step", "nograd_forward", "group_readers"]
+    for row in rows[:3]:
         assert row["shape"] == "tiny" and row["steps"] == 2
         assert row["median_ms"] > 0 and row["peak_mib"] > 0
         assert 0 <= row["saved_mib"] <= row["peak_mib"]
@@ -29,3 +29,13 @@ def test_toy_forward_records_one_attention_op_per_block():
     rows = _load().profile("toy", steps=1, warmup=0)
     assert {r["case"]: r["tape_ops"] for r in rows} == {
         "lora_step": 30, "all_step": 34, "nograd_forward": 0}
+
+
+def test_last_line_times_the_group_readers_over_every_prunable_group(capsys):
+    step_profile = _load()
+    assert step_profile.main(["tiny", "--steps", "3", "--warmup", "0"]) == 0
+    row = json.loads(capsys.readouterr().out.splitlines()[-1])
+    # tiny: one block of 2 heads and 8 MLP channels
+    assert row["case"] == "group_readers" and row["shape"] == "tiny" and row["steps"] == 3
+    assert row["groups"] == 10
+    assert row["count_zero_groups_ms"] > 0 and row["least_salient_ms"] > 0
