@@ -198,14 +198,15 @@ def load_checkpoint(path: str | Path) -> LoraModel:
             raise FormatError(
                 f"{path}: tensor {name} has shape {tensors[name].shape}, the meta implies {shape}"
             )
-    unknown = sorted(set(tensors) - set(shapes))
-    if unknown:
-        raise FormatError(f"{path}: tensor {unknown[0]} has no slot in the model the meta describes")
+    # named before any extra tensor: a block of 0 heads lists no attention tensors to match
     for i, (_, head_dim, _) in enumerate(block_dims):
         if head_dim != config.head_dim:
             raise FormatError(
                 f"{path}: block {i} head_dim {head_dim} is not config dim / n_heads = {config.head_dim}"
             )
+    unknown = sorted(set(tensors) - set(shapes))
+    if unknown:
+        raise FormatError(f"{path}: tensor {unknown[0]} has no slot in the model the meta describes")
     model = LoraModel(config, {name: Tensor(tensors[name]) for name in shapes})
     if model_meta(model, meta.get("extra")) != meta:
         raise FormatError(f"{path}: meta holds fields other than the ones save writes for this model")

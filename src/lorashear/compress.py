@@ -6,7 +6,7 @@ erases all of them, on every axis, for each redundant group; a group whose
 slices do not share one index set is inconsistent and a hard error. LoRA
 factors shrink alongside their hosts so the compact model stays
 fine-tunable, and each block's head count and MLP width follow from its
-shrunk tensors.
+shrunk tensors; a sublayer left with no head or channel is dropped whole.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PlanError
 from .groups import GroupSet
-from .model import LoraModel
+from .model import LoraModel, parameter_shapes
 
 
 @dataclass
@@ -68,14 +68,16 @@ def plan_compression(group_set: GroupSet, model: LoraModel) -> CompressionPlan:
 
 
 def apply_compression(model: LoraModel, plan: CompressionPlan) -> LoraModel:
-    """Materialize the compact model; identity plan yields a bit-identical clone."""
-    compact = model.clone()
-    params = compact.parameters()
+    """Materialize the compact model, the tensors ``parameter_shapes`` lists for
+    the shrunk blocks; an identity plan yields a bit-identical clone."""
+    shrunk = model.clone()
+    params = shrunk.parameters()
     for param, axes in plan.kept.items():
         t = params[param]
         data = t.data
         for axis in sorted(axes):
             data = np.take(data, axes[axis], axis=axis)
         t.data = np.ascontiguousarray(data)
-    return compact
+    dims = [(b.n_heads, b.head_dim, b.mlp_dim) for b in shrunk.blocks]
+    return LoraModel(model.config, {name: params[name] for name in parameter_shapes(model.config, dims)})
 

@@ -8,7 +8,7 @@ it reads. One union-find over those spaces gives the dependency classes:
   A's columns to its input channels; the rank space (A's rows, B's columns)
   is never tied, so it is never a group. ``linear`` is the same without the
   adaptor.
-- ``add``, ``mul``, ``silu`` and ``scale`` tie channels elementwise.
+- ``add``, ``mul`` and ``silu`` tie channels elementwise.
 - ``causal_attention`` ties the channels of q, k, v and its output, and
   makes the class head-granular with the recorded ``n_heads``.
 - ``embedding_lookup`` and ``rmsnorm`` tie their output channels to the
@@ -225,7 +225,6 @@ COUPLING = {
     "add": _elementwise(2),
     "mul": _elementwise(2),
     "silu": _elementwise(1),
-    "scale": _elementwise(1),
     "causal_attention": _Coupling(3, 0, lambda out, q, k, v: ((out, q, k, v),), "heads"),
     "embedding_lookup": _Coupling(0, 1, lambda out, table: ((out, (table, 1)),), "unprunable"),
     "rmsnorm": _Coupling(1, 1, lambda out, x, gain: ((out, x, (gain, 0)),), "unprunable"),

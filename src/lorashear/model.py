@@ -10,10 +10,10 @@ and B (out x r), applied as ``x @ W.T + gamma * (x @ A.T) @ B.T``. B starts
 at zero so a fresh model is exactly the frozen model.
 
 ``parameter_shapes`` states every parameter's name and shape, in model
-order, once: building, cloning and loading a model all go through it. A
-block's head count and MLP width are read off its tensors' shapes, so
-structurally compressed models (which may differ per block) reuse the same
-forward path.
+order, once: building, cloning, compressing and loading a model all go
+through it. A block's head count and MLP width are read off its tensors (0
+for a sublayer emptied of tensors, which the forward skips), so compressed
+models, which may differ per block, reuse the same forward path.
 
 The forward is a run of sublayers over one residual stream: sublayer ``2*i``
 is block i's attention, ``2*i + 1`` its MLP, and ``2*n_layers`` the final
@@ -107,36 +107,31 @@ class Block:
     """One decoder block, its tensors wired by name from ``params`` under ``prefix``."""
 
     def __init__(self, params: Mapping[str, Tensor], prefix: str, config: ModelConfig):
-        def proj(name: str) -> LoraLinear:
-            p = f"{prefix}.{name}"
+        def proj(p: str) -> LoraLinear:
             return LoraLinear(
                 params[f"{p}.weight"], params.get(f"{p}.lora_A"), params.get(f"{p}.lora_B"), config.lora_gamma
             )
 
-        self.attn_norm = params[f"{prefix}.attn_norm.gain"]
-        self.q, self.k, self.v, self.o = (proj(f"attn.{n}") for n in "qkvo")
-        self.mlp_norm = params[f"{prefix}.mlp_norm.gain"]
-        self.gate, self.up, self.down = (proj(f"mlp.{n}") for n in ("gate", "up", "down"))
+        # every projection present, in model order: each "<prefix>.<name>.weight"
+        own = f"{prefix}."
+        stems = [n.removesuffix(".weight") for n in params if n.startswith(own) and n.endswith(".weight")]
+        self.modules = {p.removeprefix(own): proj(p) for p in stems}
+        self.attn_norm = params.get(f"{prefix}.attn_norm.gain")
+        self.q, self.k, self.v, self.o = (self.modules.get(f"attn.{n}") for n in "qkvo")
+        self.mlp_norm = params.get(f"{prefix}.mlp_norm.gain")
+        self.gate, self.up, self.down = (self.modules.get(f"mlp.{n}") for n in ("gate", "up", "down"))
         self.head_dim = config.head_dim
 
     @property
     def n_heads(self) -> int:
-        return self.q.weight.shape[0] // self.head_dim
+        return 0 if self.q is None else self.q.weight.shape[0] // self.head_dim
 
     @property
     def mlp_dim(self) -> int:
-        return self.gate.weight.shape[0]
+        return 0 if self.gate is None else self.gate.weight.shape[0]
 
     def lora_linears(self) -> dict[str, LoraLinear]:
-        return {
-            "attn.q": self.q,
-            "attn.k": self.k,
-            "attn.v": self.v,
-            "attn.o": self.o,
-            "mlp.gate": self.gate,
-            "mlp.up": self.up,
-            "mlp.down": self.down,
-        }
+        return dict(self.modules)
 
 
 class LoraModel:
@@ -195,20 +190,21 @@ class LoraModel:
     def first_reader(self, tensors) -> int:
         """First sublayer of ``forward`` that reads any of ``tensors``, matched by identity.
 
-        The embeddings count as read by sublayer 0, the only start that
-        recomputes them; 0 also when no sublayer reads any of them.
+        A name says its reader: ``blocks.i.attn*`` is ``2*i``, ``blocks.i.mlp*``
+        ``2*i + 1``, and the embeddings 0, the only start that recomputes
+        them; 0 also when no sublayer reads any of them.
         """
         written = {id(t) for t in tensors}
         reads = []
-        for blk in self.blocks:
-            reads.append([blk.attn_norm, *(t for m in (blk.q, blk.k, blk.v, blk.o) for t in m.tensors())])
-            reads.append([blk.mlp_norm, *(t for m in (blk.gate, blk.up, blk.down) for t in m.tensors())])
-        reads.append([self.final_norm, self.head])
-        reads[0] += [self.tok_embedding, self.pos_embedding]
-        for s, tensors_read in enumerate(reads):
-            if any(id(t) in written for t in tensors_read):
-                return s
-        return 0
+        for name, t in self.parameters().items():
+            if id(t) not in written:
+                continue
+            if name.startswith("blocks."):
+                _, i, rest = name.split(".", 2)
+                reads.append(2 * int(i) + rest.startswith("mlp"))
+            else:
+                reads.append(0 if name.endswith("_embedding") else 2 * len(self.blocks))
+        return min(reads, default=0)
 
     # ---- forward ---------------------------------------------------------------
 
@@ -260,23 +256,18 @@ class LoraModel:
             if s == n_sublayers:
                 break
             blk = self.blocks[s // 2]
-            if s % 2 == 0:
+            if s % 2 == 0 and blk.n_heads:
                 h = T.add(h, self._attention(blk, T.rmsnorm(h, blk.attn_norm)))
-            else:
+            elif s % 2 == 1 and blk.mlp_dim:
                 h = T.add(h, self._mlp(blk, T.rmsnorm(h, blk.mlp_norm)))
         logits = T.linear(T.rmsnorm(h, self.final_norm), self.head)
         return T.reshape(logits, logits.shape[1:]) if squeeze else logits
 
     def _attention(self, blk: Block, h: Tensor) -> Tensor:
-        if blk.n_heads == 0:
-            # every head structurally removed: attention contributes nothing
-            return T.scale(h, 0.0)
         ctx = T.causal_attention(blk.q.apply(h), blk.k.apply(h), blk.v.apply(h), blk.n_heads)
         return blk.o.apply(ctx)
 
     def _mlp(self, blk: Block, h: Tensor) -> Tensor:
-        if blk.mlp_dim == 0:
-            return T.scale(h, 0.0)
         gated = T.mul(T.silu(blk.gate.apply(h)), blk.up.apply(h))
         return blk.down.apply(gated)
 
@@ -287,22 +278,25 @@ class LoraModel:
 
 def parameter_shapes(config: ModelConfig, block_dims) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in model order, for blocks of the
-    given ``(n_heads, head_dim, mlp_dim)``. Each projection carries both
-    LoRA factors exactly when ``config.lora_rank`` > 0."""
+    given ``(n_heads, head_dim, mlp_dim)``; a sublayer of 0 heads or channels
+    has none, norm included. Each projection carries both LoRA factors
+    exactly when ``config.lora_rank`` > 0."""
     d, r = config.dim, config.lora_rank
     shapes = {"tok_embedding": (config.vocab_size, d), "pos_embedding": (config.block_size, d)}
     for i, (n_heads, head_dim, mlp_dim) in enumerate(block_dims):
         inner, prefix = n_heads * head_dim, f"blocks.{i}"
-        shapes[f"{prefix}.attn_norm.gain"] = (d,)
-        for name, (out_dim, in_dim) in {
-            "attn.q": (inner, d), "attn.k": (inner, d), "attn.v": (inner, d), "attn.o": (d, inner),
-            "mlp.gate": (mlp_dim, d), "mlp.up": (mlp_dim, d), "mlp.down": (d, mlp_dim),
-        }.items():
-            shapes[f"{prefix}.{name}.weight"] = (out_dim, in_dim)
-            if r:
-                shapes[f"{prefix}.{name}.lora_A"] = (r, in_dim)
-                shapes[f"{prefix}.{name}.lora_B"] = (out_dim, r)
-        shapes[f"{prefix}.mlp_norm.gain"] = (d,)
+        sublayers = {
+            "attn": {"q": (inner, d), "k": (inner, d), "v": (inner, d), "o": (d, inner)} if n_heads else {},
+            "mlp": {"gate": (mlp_dim, d), "up": (mlp_dim, d), "down": (d, mlp_dim)} if mlp_dim else {},
+        }
+        for sub, projections in sublayers.items():
+            if projections:
+                shapes[f"{prefix}.{sub}_norm.gain"] = (d,)
+            for name, (out_dim, in_dim) in projections.items():
+                shapes[f"{prefix}.{sub}.{name}.weight"] = (out_dim, in_dim)
+                if r:
+                    shapes[f"{prefix}.{sub}.{name}.lora_A"] = (r, in_dim)
+                    shapes[f"{prefix}.{sub}.{name}.lora_B"] = (out_dim, r)
     shapes["final_norm.gain"] = (d,)
     shapes["head.weight"] = (config.vocab_size, d)
     return shapes

@@ -284,10 +284,13 @@ def stage_recover(cfg: PipelineConfig, out: Path) -> None:
 
 
 def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) -> None:
+    paths = [Path(m) for m in models or ()]
+    first: dict[str, Path] = {}
+    for path in paths:  # eval.json keys each model by its file name
+        if first.setdefault(path.name, path) is not path:
+            raise ConfigError(f"eval --model: {first[path.name]} and {path} share the file name {path.name}")
     corpora = _corpora(out, "eval", cfg)
-    if models:
-        paths = [Path(m) for m in models]
-    else:
+    if not paths:
         names = ("model_full.lshr", "model_pruned.lshr", "model_compact.lshr", "model_recovered.lshr")
         paths = [out / n for n in names if (out / n).exists()]
         if not paths:

@@ -488,6 +488,28 @@ class TestStages:
         finally:
             (finished_run / "eval.json").write_bytes(original)
 
+    def test_eval_models_sharing_a_file_name_is_exit_2(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, monkeypatch
+    ):
+        # eval.json keys each model by its file name: the second would replace the first
+        out = tmp_path / "run"
+        out.mkdir()
+        for p in finished_run.iterdir():
+            if p.name != "eval.json":
+                (out / p.name).write_bytes(p.read_bytes())
+        models = [tmp_path / "a" / "m.lshr", tmp_path / "b" / "m.lshr"]
+        for source, path in zip(("model_full.lshr", "model_compact.lshr"), models):
+            path.parent.mkdir()
+            path.write_bytes((finished_run / source).read_bytes())
+        scored, score = [], pipeline.source_losses
+        monkeypatch.setattr(pipeline, "source_losses", lambda *args: scored.append(args) or score(*args))
+        args = ["--config", str(micro_cfg_file), "--out", str(out),
+                "eval", "--model", str(models[0]), "--model", str(models[1])]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{models[0]} and {models[1]} share the file name m.lshr" in err
+        assert scored == [] and not (out / "eval.json").exists()
+
     def test_eval_scores_each_source_of_each_checkpoint_once(
         self, micro_cfg_file, finished_run, tmp_path, monkeypatch
     ):
@@ -554,8 +576,8 @@ class TestDumps:
         assert all(g["status"] == "prunable" for g in groups)
 
     def test_dumps_of_a_compact_model_with_an_emptied_block(self, toy_model, tmp_path):
-        # every head of block 1 removed: its attention is scale(h, 0.0)
-        from lorashear.checkpoint import save_checkpoint
+        # every head of block 1 removed: its attention sublayer is absent
+        from lorashear.checkpoint import read_checkpoint, save_checkpoint
         from lorashear.compress import apply_compression, plan_compression
 
         _, group_set = pipeline._analysis_structures(toy_model)
@@ -566,8 +588,11 @@ class TestDumps:
         graph_out, groups_out = tmp_path / "graph.json", tmp_path / "groups.json"
         assert main(["graph", "dump", "--checkpoint", str(ckpt), "--output", str(graph_out)]) == 0
         assert main(["groups", "dump", "--checkpoint", str(ckpt), "--output", str(groups_out)]) == 0
-        kinds = [n["kind"] for n in json.loads(graph_out.read_text())["nodes"]]
-        assert kinds.count("scale") == 1 and kinds.count("causal_attention") == 1
+        nodes = json.loads(graph_out.read_text())["nodes"]
+        kinds = [n["kind"] for n in nodes]
+        assert "scale" not in kinds and kinds.count("causal_attention") == 1
+        assert not any(name.startswith("blocks.1.attn") for name in read_checkpoint(ckpt)[1])
+        assert not any(p.startswith("blocks.1.attn") for n in nodes for p in n["params"])
         payload = json.loads(groups_out.read_text())
         groups = payload["group_set"]["groups"]
         assert len(groups) == 132

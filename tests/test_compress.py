@@ -35,7 +35,9 @@ def mark_and_zero(model, group_set, ids):
 
 
 def compact_parameter_count(model, removed_mlp_per_block, removed_heads_per_block):
-    """Closed-form count after removing channels/heads, from the plan arithmetic."""
+    """Closed-form count after removing channels/heads, from the plan arithmetic.
+
+    A sublayer left with no head or channel counts 0: norm and factors go too."""
     c = model.config
     d, r = c.dim, c.lora_rank
     dh = c.dim // c.n_heads
@@ -43,12 +45,14 @@ def compact_parameter_count(model, removed_mlp_per_block, removed_heads_per_bloc
     for b in range(c.n_layers):
         rows = d - removed_heads_per_block[b] * dh
         m = c.mlp_dim - removed_mlp_per_block[b]
-        total += d  # attn norm
-        total += 3 * (rows * d + r * d + rows * r)  # q, k, v
-        total += d * rows + r * rows + d * r  # o
-        total += d  # mlp norm
-        total += 2 * (m * d + r * d + m * r)  # gate, up
-        total += d * m + r * m + d * r  # down
+        if rows:
+            total += d  # attn norm
+            total += 3 * (rows * d + r * d + rows * r)  # q, k, v
+            total += d * rows + r * rows + d * r  # o
+        if m:
+            total += d  # mlp norm
+            total += 2 * (m * d + r * d + m * r)  # gate, up
+            total += d * m + r * m + d * r  # down
     return total
 
 

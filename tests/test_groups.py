@@ -195,7 +195,7 @@ class TestCouplingRules:
         with pytest.raises(AnalysisError, match="op 0:linear reads 0 activations and 1"):
             discover_node_groups(TraceGraph([node], node.id))
 
-    def test_a_block_emptied_of_heads_records_scale_and_loses_its_family(self, toy_model):
+    def test_a_block_emptied_of_heads_records_no_attention_or_family(self, toy_model):
         from lorashear.compress import apply_compression, plan_compression
 
         _, _, group_set = analysis(toy_model)
@@ -203,7 +203,11 @@ class TestCouplingRules:
             group_set.set_status(f"blocks.1.attn:head:{h:03d}", "redundant")
         compact = apply_compression(toy_model, plan_compression(group_set, toy_model))
         graph, node_groups, compact_set = analysis(compact)
-        assert "scale" in {n.kind for n in graph.nodes}
+        assert "scale" not in {n.kind for n in graph.nodes}
+        assert not any(p.startswith("blocks.1.attn") for n in graph.nodes for p in n.params)
+        assert not any(p.startswith("blocks.1.attn") for p in compact.parameters())
+        # block 0's attention and both MLPs: one norm each, plus the final norm
+        assert [n.kind for n in graph.nodes].count("rmsnorm") == 4
         assert "blocks.1.attn" not in node_groups.by_id()
         assert len(compact_set.groups) == 132
 

@@ -159,10 +159,11 @@ class TestLoraAlgebra:
         for other in (toy_model, toy_model.clone(), compact, load_checkpoint(tmp_path / "m.lshr")):
             own = [other.tok_embedding, other.pos_embedding]
             for blk in other.blocks:
-                own.append(blk.attn_norm)
-                for mod in blk.lora_linears().values():
-                    own += mod.tensors()
-                own.append(blk.mlp_norm)
+                for norm, sublayer in ((blk.attn_norm, "attn."), (blk.mlp_norm, "mlp.")):
+                    # an emptied sublayer has neither its norm nor its modules
+                    own += [] if norm is None else [norm]
+                    for name, mod in blk.lora_linears().items():
+                        own += mod.tensors() if name.startswith(sublayer) else []
             own += [other.final_norm, other.head]
             assert [id(t) for t in other.parameters().values()] == [id(t) for t in own]
             if other is not toy_model:
@@ -270,7 +271,8 @@ class TestLayout:
         from lorashear.checkpoint import checkpoint_extra, load_checkpoint, save_checkpoint
         from lorashear.compress import apply_compression, plan_compression
         from lorashear.graph import build_trace_graph
-        from lorashear.groups import discover_node_groups, partition_variables
+        from lorashear.groups import discover_node_groups, partition_variables, zero_structure
+        from test_compress import compact_parameter_count
 
         dim = n_heads * head_dim
         lora_rank = data.draw(st.integers(0, min(3, dim - 1)), label="lora_rank")
@@ -300,3 +302,17 @@ class TestLayout:
         for m, dims in ((model, full), (model.clone(), full), (compact, erased), (loaded, erased)):
             table = list(parameter_shapes(config, dims).items())
             assert [(n, t.shape) for n, t in m.parameters().items()] == table
+
+        # an emptied sublayer is absent: every tensor left is read, and counted at its size
+        zeroed = model.clone()
+        for g in removed:
+            zero_structure(zeroed, g)
+        tokens = np.arange(2 * config.block_size).reshape(2, -1) % config.vocab_size
+        lost_channels, lost_heads = [mlp_dim - m for *_, m in erased], [n_heads - h for h, *_ in erased]
+        count = compact_parameter_count(model, lost_channels, lost_heads)
+        for m in (compact, loaded):
+            graph = build_trace_graph(m)
+            assert {p for node in graph.nodes for p in node.params} == set(m.parameters())
+            assert "scale" not in {node.kind for node in graph.nodes}
+            assert np.max(np.abs(m.forward(tokens).data - zeroed.forward(tokens).data)) < 1e-9
+            assert m.parameter_count() == count
