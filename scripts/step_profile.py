@@ -13,10 +13,15 @@ backward, which is what the recorded backward rules keep, and ``tape_ops``:
 the ops that forward records (0 without grad). ``toy`` is the built-in
 model at 8x48 tokens; ``wide`` is perfbench's wide-run-all model (dim 128,
 8 heads, 256 MLP channels) at 4x96 tokens; ``tiny`` is a seconds-long smoke
-shape. A last line gives the median ms of ``count_zero_groups`` and of
-``least_salient`` over all prunable structure groups of the same model,
-the two LHSPG readers of every group. Timings depend on the host and its
-BLAS; peaks do not.
+shape. An ``ops`` line gives the median forward and backward microseconds
+of one ``lora_linear``, ``causal_attention`` and ``rmsnorm`` call at the
+shape, each on its own tape with a LoRA-only step's flags: the input
+requires grad, a host weight or gain does not, the adaptor factors do.
+The forward time includes recording the op; the backward time is its rule
+alone, given an output gradient of ones. A last line gives the median ms of
+``count_zero_groups`` and of ``least_salient`` over all prunable structure
+groups of the same model, the two LHSPG readers of every group. Timings
+depend on the host and its BLAS; peaks do not.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from lorashear.lhspg import count_zero_groups
 from lorashear.model import ModelConfig, build_model, next_token_loss
 from lorashear.optim import Sgd, train_step
 from lorashear.saliency import least_salient
-from lorashear.tensor import Tape
+from lorashear import tensor as T
+from lorashear.tensor import Tape, Tensor
 
 # name -> (model fields, batch size); sequences are block_size + 1 tokens
 SHAPES = {
@@ -108,6 +114,53 @@ def profile(shape: str, steps: int, warmup: int, seed: int = 0) -> list[dict]:
     return rows
 
 
+def _op_calls(shape: str, seed: int) -> dict:
+    """Op name -> (a call of it at the shape's sizes, the tensors it reads)."""
+    fields, batch_size = SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    dim, rank = fields["dim"], fields["lora_rank"]
+
+    def draw(*dims: int, grad: bool) -> Tensor:
+        return Tensor(rng.normal(size=dims) / np.sqrt(dims[-1]), requires_grad=grad)
+
+    def activation() -> Tensor:
+        return draw(batch_size, fields["block_size"], dim, grad=True)
+
+    x, q, k, v = activation(), activation(), activation(), activation()
+    w, a, b = draw(dim, dim, grad=False), draw(rank, dim, grad=True), draw(dim, rank, grad=True)
+    gain = Tensor(np.ones(dim))
+    return {
+        "lora_linear": (lambda: T.lora_linear(x, w, a, b, 2.0), (x, w, a, b)),
+        "causal_attention": (lambda: T.causal_attention(q, k, v, fields["n_heads"]), (q, k, v)),
+        "rmsnorm": (lambda: T.rmsnorm(x, gain), (x, gain)),
+    }
+
+
+def profile_ops(shape: str, steps: int, warmup: int, seed: int = 0) -> dict:
+    """Median forward and backward microseconds of each fused op at the shape."""
+    row = {"shape": shape, "case": "ops", "steps": steps}
+    for name, (call, inputs) in _op_calls(shape, seed).items():
+        fwd, bwd = [], []
+        for i in range(warmup + steps):
+            for t in inputs:
+                t.zero_grad()
+            with Tape() as tape:
+                start = time.perf_counter()
+                out = call()
+                fwd_s = time.perf_counter() - start
+            out.accumulate_grad(np.ones(out.shape))
+            (op,) = tape.ops
+            start = time.perf_counter()
+            op.backward()
+            bwd_s = time.perf_counter() - start
+            if i >= warmup:
+                fwd.append(fwd_s)
+                bwd.append(bwd_s)
+        row[f"{name}_fwd_us"] = round(statistics.median(fwd) * 1e6, 1)
+        row[f"{name}_bwd_us"] = round(statistics.median(bwd) * 1e6, 1)
+    return row
+
+
 def profile_group_readers(shape: str, steps: int, warmup: int, seed: int = 0) -> dict:
     """Median ms of the zero count and the saliency ranking over every prunable group."""
     fields, _ = SHAPES[shape]
@@ -132,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--steps must be >= 1 and --warmup >= 0")
     for row in profile(args.shape, args.steps, args.warmup):
         print(json.dumps(row))
+    print(json.dumps(profile_ops(args.shape, args.steps, args.warmup)))
     print(json.dumps(profile_group_readers(args.shape, args.steps, args.warmup)))
     return 0
 

@@ -89,9 +89,11 @@ def main(argv: list[str] | None = None) -> int:
         if stage == "run-all":
             pipeline.run_all(cfg, args.out)
         elif stage == "eval":
+            models = getattr(args, "model", None)
+            pipeline.eval_model_paths(models)  # a bad --model exits before --out is made
             args.out.mkdir(parents=True, exist_ok=True)
             pipeline.write_config(cfg, args.out / "config.json")
-            pipeline.stage_eval(cfg, args.out, models=getattr(args, "model", None))
+            pipeline.stage_eval(cfg, args.out, models=models)
         else:
             pipeline.run_stage(stage, cfg, args.out)
         return 0

@@ -84,7 +84,8 @@ def _gen_brackets(rng: np.random.Generator, length: int, vocab: int) -> np.ndarr
             out.append(o)
             stack.append(c)
         else:
-            out.append(int(rng.choice(fillers)))
+            # the draw rng.choice(fillers) makes, without its argument checks
+            out.append(int(fillers[rng.integers(0, len(fillers))]))
     return np.array(out[:length], dtype=np.int64)
 
 

@@ -283,12 +283,25 @@ def stage_recover(cfg: PipelineConfig, out: Path) -> None:
     save_checkpoint(compact, out / "model_recovered.lshr", extra=_stamp(cfg, "recover"))
 
 
-def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) -> None:
+def eval_model_paths(models: list[str] | None) -> list[Path]:
+    """The checkpoints ``eval --model`` names, checked before anything is written.
+
+    ConfigError when two share a file name (eval.json keys each model by
+    it); StageError when one is not a file.
+    """
     paths = [Path(m) for m in models or ()]
     first: dict[str, Path] = {}
-    for path in paths:  # eval.json keys each model by its file name
+    for path in paths:
         if first.setdefault(path.name, path) is not path:
             raise ConfigError(f"eval --model: {first[path.name]} and {path} share the file name {path.name}")
+    for path in paths:
+        if not path.is_file():
+            raise StageError(f"stage eval: checkpoint not found: {path}")
+    return paths
+
+
+def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) -> None:
+    paths = eval_model_paths(models)
     corpora = _corpora(out, "eval", cfg)
     if not paths:
         names = ("model_full.lshr", "model_pruned.lshr", "model_compact.lshr", "model_recovered.lshr")

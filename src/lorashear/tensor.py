@@ -4,18 +4,26 @@ Just enough machinery to train and evaluate the toy transformer: row-major
 contiguous float64 arrays, a recording tape, and backward rules for the
 handful of ops the model needs. No views, no strides, no broadcasting beyond
 what the ops below define internally. Two ops fuse what would otherwise be
-several: ``lora_linear`` (a host weight plus its adaptor) and
-``causal_attention`` (head split, query scale, scores, causal softmax, value
-mixing and head merge, one tape op where the separate ops recorded 13).
+several: ``lora_linear`` (a host weight plus its adaptor, folded into one
+merged weight and one GEMM) and ``causal_attention`` (head split, query
+scale, scores, causal softmax, value mixing and head merge, one tape op where
+the separate ops recorded 13).
 
 Ops record onto the innermost active ``Tape`` only when the result requires
 grad; evaluation without a tape is plain numpy and allocates nothing extra.
+Every op computes its result by one formula, so a forward gives the same bits
+with or without a tape and whatever ``requires_grad`` says. The causal
+softmax reads the masked scores too (a plain subtract and exp over whole
+rows), but sets them to +0.0 before anything sums them: whatever a masked
+entry holds changes no output bit.
+
 A tensor's gradient lives in a small ``Grad`` cell of its own, and a recorded
 backward closure may hold only two kinds of thing: the gradient cells of its
 output and of the inputs that require grad, and the arrays its own rule
 reads (``probs`` for softmax; ``probs``, the scaled queries ``sq``, the
 transposed keys ``kt`` and the per-head values ``vh`` for causal attention;
-``sig`` and ``x`` for silu; never the scores or a projection's output). It
+``sig`` and ``x`` for silu; the input and ``x @ A.T`` for lora_linear;
+never the scores, the merged weight or a projection's output). It
 never holds a whole ``Tensor``, so add, scale, reshape, transpose and
 embedding lookup pin no activation at all. Each ``TapeOp`` names its
 operands and its result by those same cells, so a recorded forward is also
@@ -321,33 +329,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """y = x @ w.T for x of shape (..., in) and weight of shape (out, in)."""
+    """y = x @ w.T for x of shape (..., in) and weight of shape (out, in), as one 2-D GEMM."""
     if w.data.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-D, got {w.shape}")
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
     _check_finite("linear", x, w)
     wd = w.data
-    out = Tensor(x.data @ wd.T, requires_grad=_needs(x, w))
-    x2 = x.data.reshape(-1, wd.shape[1]) if w.requires_grad else None
+    x2 = x.data.reshape(-1, wd.shape[1])
+    out = Tensor((x2 @ wd.T).reshape(*x.shape[:-1], wd.shape[0]), requires_grad=_needs(x, w))
+    x2 = x2 if w.requires_grad else None
 
     def rule(g, cx, cw):
+        g2 = g.reshape(-1, wd.shape[0])
         if cx is not None:
-            cx.accumulate(g @ wd)
+            cx.accumulate((g2 @ wd).reshape(cx.shape))
         if cw is not None:
-            cw.accumulate(g.reshape(-1, g.shape[-1]).T @ x2)
+            cw.accumulate(g2.T @ x2)
 
     return _record("linear", (x, w), out, rule)
 
 
-def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Tensor:
-    """y = x @ w.T + (x @ a.T @ b.T) * gamma: a host weight plus a low-rank adaptor.
+def _merged_weight(wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, gamma: float) -> np.ndarray:
+    """``w + gamma * (b @ a)``: the weight ``LoraLinear.merge_lora`` leaves in the host."""
+    return wd + gamma * (bd @ ad)
 
-    One tape op with the arithmetic, and the order of gradient accumulation
-    into ``x``, of ``add(linear(x, w), scale(linear(linear(x, a), b), gamma))``.
-    When no operand requires grad it computes ``x @ (w + gamma * (b @ a)).T``
-    instead, the merged weight of ``LoraLinear.merge_lora``: one matmul, and
-    merging leaves the result bitwise unchanged.
+
+def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Tensor:
+    """y = x @ (w + gamma * (b @ a)).T: a host weight plus a low-rank adaptor, one GEMM.
+
+    The adaptor folds into the host weight as ``LoraLinear.merge_lora`` folds
+    it, and the input, flattened to 2-D, takes one GEMM with that merged
+    weight. There is one formula with or without a tape and whatever
+    ``requires_grad`` says, so a forward gives the same bits in every mode
+    and merging leaves it unchanged. The merged weight is rebuilt on every
+    call and never cached, because probes and zeroing write weights in place.
+
+    Backward: dx = g @ merged as one GEMM (the merged weight is rebuilt from
+    the parameter arrays, so it is never kept), dW = g.T @ x,
+    dA = ((gamma g) @ B).T @ x and dB = (gamma g).T @ (x @ A.T). The input is
+    kept only when W or A needs a gradient, and ``x @ A.T`` is computed and
+    kept only when B does.
     """
     if w.data.ndim != 2 or a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"lora_linear: weights must be 2-D, got {w.shape}, {a.shape}, {b.shape}")
@@ -358,32 +380,28 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
         )
     _check_finite("lora_linear", x, w, a, b)
     gamma = float(gamma)
-    if not _needs(x, w, a, b):
-        # no-grad read: fold the adaptor into the host exactly as
-        # LoraLinear.merge_lora does, then one matmul; never cached, since
-        # callers mutate weights in place between reads
-        return Tensor(x.data @ (w.data + gamma * (b.data @ a.data)).T)
     wd, ad, bd = w.data, a.data, b.data
-    low = x.data @ ad.T
-    out = Tensor(x.data @ wd.T + (low @ bd.T) * gamma, requires_grad=True)
+    x2 = x.data.reshape(-1, wd.shape[1])
+    out = Tensor(
+        (x2 @ _merged_weight(wd, ad, bd, gamma).T).reshape(*x.shape[:-1], wd.shape[0]),
+        requires_grad=_needs(x, w, a, b),
+    )
     # the activations are kept only for the gradients that read them
-    x2 = x.data.reshape(-1, wd.shape[1]) if w.requires_grad or a.requires_grad else None
-    low2 = low.reshape(-1, ad.shape[0]) if b.requires_grad else None
+    low = x2 @ ad.T if b.requires_grad else None
+    x2 = x2 if w.requires_grad or a.requires_grad else None
 
     def rule(g, cx, cw, ca, cb):
-        g_low_out = g * gamma
-        if cb is not None:
-            cb.accumulate(g_low_out.reshape(-1, bd.shape[0]).T @ low2)
-        if cx is not None or ca is not None:
-            g_low = g_low_out @ bd
-            if cx is not None:
-                cx.accumulate(g_low @ ad)
-            if ca is not None:
-                ca.accumulate(g_low.reshape(-1, ad.shape[0]).T @ x2)
+        g2 = g.reshape(-1, wd.shape[0])
         if cx is not None:
-            cx.accumulate(g @ wd)
+            cx.accumulate((g2 @ _merged_weight(wd, ad, bd, gamma)).reshape(cx.shape))
         if cw is not None:
-            cw.accumulate(g.reshape(-1, wd.shape[0]).T @ x2)
+            cw.accumulate(g2.T @ x2)
+        if ca is not None or cb is not None:
+            g_low = g2 * gamma
+            if ca is not None:
+                ca.accumulate((g_low @ bd).T @ x2)
+            if cb is not None:
+                cb.accumulate(g_low.T @ low)
 
     return _record("lora_linear", (x, w, a, b), out, rule)
 
@@ -411,25 +429,31 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    """x / rms(x) * gain over the last axis, rms = sqrt(mean(x^2) + eps).
+    """x / rms(x) * gain over the last axis, rms = sqrt(sum(x^2) / dim + eps).
 
-    Backward keeps ``x`` and ``inv_rms``, not the normalised activations: the
-    gain gradient recomputes ``x * inv_rms``, the forward's own expression.
+    The sum of squares and the backward's sum(g * gain * x) are ``einsum``
+    row dots, with no squared or product temporary. Backward keeps ``x`` and
+    ``inv_rms``, not the normalised activations: the gain gradient
+    recomputes ``x * inv_rms``, the forward's own expression, and the x
+    gradient, (g * gain) * inv_rms - x * (rowdot * inv_rms^3 / dim), is
+    formed in the buffer of g * gain.
     """
     if gain.data.ndim != 1 or gain.shape[0] != x.shape[-1]:
         raise ShapeError(f"rmsnorm: gain {gain.shape} does not match input {x.shape}")
     _check_finite("rmsnorm", x, gain)
     xd, gd = x.data, gain.data
     dim = xd.shape[-1]
-    mean_sq = np.mean(xd**2, axis=-1, keepdims=True)
-    inv_rms = 1.0 / np.sqrt(mean_sq + _RMSNORM_EPS)
+    sum_sq = np.einsum("...i,...i->...", xd, xd)[..., None]
+    inv_rms = 1.0 / np.sqrt(sum_sq / dim + _RMSNORM_EPS)
     out = Tensor(xd * inv_rms * gd, requires_grad=_needs(x, gain))
 
     def rule(g, cx, cg):
         if cx is not None:
-            gg = g * gd
-            inner = np.sum(gg * xd, axis=-1, keepdims=True)
-            cx.accumulate(gg * inv_rms - xd * inner * inv_rms**3 / dim)
+            gx = g * gd
+            inner = np.einsum("...i,...i->...", gx, xd)[..., None]
+            gx *= inv_rms
+            gx -= xd * (inner * inv_rms**3 / dim)
+            cx.accumulate(gx)
         if cg is not None:
             cg.accumulate(np.sum(g * (xd * inv_rms), axis=tuple(range(g.ndim - 1))))
 
@@ -449,22 +473,27 @@ def _causal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _causal_probs(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of (..., n, n) scores with j > i masked, in place.
 
-    Masked positions are never read: the row maximum, the shift and the exp
-    see only the kept entries, and the masked ones are then set to exactly
-    +0.0. That is bitwise the result of exponentiating -inf there, but exp
-    never takes its slow path for infinities, and no masked value can
-    overflow. A row whose largest kept score is not finite (finite queries
-    and keys whose product overflowed, or a NaN) raises here rather than
-    surfacing later as a NaN in some other op.
+    Each row is shifted by the exact maximum of its kept entries, the only
+    reduction that looks at the mask, so position i's bits never depend on
+    a later token. The shift and the exp then run over whole rows, masked
+    entries included, under a local ``errstate`` that ignores what those
+    entries may raise (overflow, underflow, NaN); they are set to exactly
+    +0.0 before the row sums, so a masked value, however extreme, changes
+    no output bit. Kept entries get the -inf formulation's values up to
+    the order of the row sum, an ``einsum``. A row whose largest kept
+    score is not finite (finite queries and keys whose product overflowed,
+    or a NaN) raises here rather than surfacing later as a NaN in some
+    other op.
     """
     keep, masked = _causal_masks(scores.shape[-1])
     row_max = np.maximum.reduce(scores, axis=-1, keepdims=True, where=keep, initial=-np.inf)
     if not np.isfinite(row_max).all():
         raise NumericError("causal_attention: non-finite attention scores")
-    np.subtract(scores, row_max, out=scores, where=keep)
-    np.exp(scores, out=scores, where=keep)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scores -= row_max
+        np.exp(scores, out=scores)
     np.copyto(scores, 0.0, where=masked)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= np.einsum("...ij->...i", scores)[..., None]
     return scores
 
 
@@ -490,9 +519,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     channels. The 1/sqrt(head_dim) scale goes on the queries, not on the
     (T, T) scores, which are larger whenever T > head_dim; the scores take
     the causal softmax, mix the values, and the heads merge back into a
-    (B, T, dim) context. The arithmetic and operand layouts are those of the
-    separate reshape, transpose, scale, matmul and softmax ops, so the
-    result and every gradient are bitwise theirs.
+    (B, T, dim) context. The operand layouts are those of the separate
+    reshape, transpose, scale and matmul ops; the softmax is
+    ``_causal_probs``, and both row sums (the softmax's and the backward's
+    rowsum(dP * P)) are ``einsum`` reductions.
 
     Backward keeps the probabilities P, the scaled queries, the transposed
     keys and the per-head values, each only for the gradients that read it,
@@ -537,7 +567,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         if cq is None and ck is None:
             return
         ds = g_ctx @ vh.swapaxes(-1, -2)
-        ds -= np.sum(ds * probs, axis=-1, keepdims=True)
+        ds -= np.einsum("...ij,...ij->...i", ds, probs)[..., None]
         ds *= probs
         if cq is not None:
             cq.accumulate(merged((ds @ kt.swapaxes(-1, -2)) * c))

@@ -219,15 +219,19 @@ def test_read_guard_sees_each_form():
 
 
 _CONCURRENCY = ("threading", "concurrent.futures", "multiprocessing")
+# process-wide floating-point flags; a scoped ``with np.errstate(...)`` is the one allowed form
+_FP_SETTINGS = ("seterr", "seterrcall")
 
 
 def _hidden_settings(tree: ast.AST) -> list[str]:
-    """Imports of thread or process pools, and reads of the environment."""
+    """Imports of thread or process pools, reads of the environment, and global float flags."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
-            if node.attr in ("environ", "getenv"):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in ("environ", "getenv"):
                 found.append((node.lineno, f"os.{node.attr}"))
+            elif node.value.id in ("np", "numpy") and node.attr in _FP_SETTINGS:
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
             continue
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
@@ -236,7 +240,7 @@ def _hidden_settings(tree: ast.AST) -> list[str]:
         else:
             continue
         for name in names:
-            if name in ("os.environ", "os.getenv") or any(
+            if name in ("os.environ", "os.getenv", *(f"numpy.{f}" for f in _FP_SETTINGS)) or any(
                 name == m or name.startswith(m + ".") for m in _CONCURRENCY
             ):
                 found.append((node.lineno, f"import {name}"))
@@ -260,9 +264,14 @@ def test_settings_guard_sees_each_form():
         "from concurrent import futures\nimport multiprocessing as mp\nfrom multiprocessing.pool import Pool\n"
         "from os import environ\nfrom os import getenv\nos.environ.get('X')\nos.environ['X']\nos.getenv('X')\n"
         "import os\nos.path.join(a, b)\nimport concurrent\nfrom .threading import x\nimport threadpoolctl\n"
+        "np.seterr(all='ignore')\nnumpy.seterr(over='raise')\nnp.seterrcall(print)\n"
+        "from numpy import seterr\nfrom numpy import seterrcall as call\nold = np.seterr\n"
+        "with np.errstate(over='ignore'):\n    np.geterr()\n"
     )
     assert [c.split(": ", 1)[1] for c in _hidden_settings(ast.parse(src))] == [
         "import threading", "import concurrent.futures", "import concurrent.futures.ProcessPoolExecutor",
         "import concurrent.futures", "import multiprocessing", "import multiprocessing.pool.Pool",
         "import os.environ", "import os.getenv", "os.environ", "os.environ", "os.getenv",
+        "np.seterr", "numpy.seterr", "np.seterrcall", "import numpy.seterr", "import numpy.seterrcall",
+        "np.seterr",
     ]

@@ -510,6 +510,26 @@ class TestStages:
         assert f"{models[0]} and {models[1]} share the file name m.lshr" in err
         assert scored == [] and not (out / "eval.json").exists()
 
+    @pytest.mark.parametrize("case,code", [("shared-name", 2), ("missing-file", 3)])
+    def test_bad_eval_models_leave_a_fresh_out_unmade(
+        self, micro_cfg_file, finished_run, tmp_path, capsys, case, code
+    ):
+        full = finished_run / "model_full.lshr"
+        if case == "shared-name":
+            copy = tmp_path / "b" / full.name
+            copy.parent.mkdir()
+            copy.write_bytes(full.read_bytes())
+            models, message = [full, copy], f"share the file name {full.name}"
+        else:
+            models, message = [full, tmp_path / "absent.lshr"], "checkpoint not found"
+        out = tmp_path / "o"
+        args = ["--config", str(micro_cfg_file), "--out", str(out), "eval"]
+        for model in models:
+            args += ["--model", str(model)]
+        assert main(args) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_scores_each_source_of_each_checkpoint_once(
         self, micro_cfg_file, finished_run, tmp_path, monkeypatch
     ):

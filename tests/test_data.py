@@ -9,6 +9,7 @@ from lorashear.data import (
     PRETRAIN_KINDS,
     SourcePool,
     SourceTaggedCorpus,
+    _gen_brackets,
     _gen_markov,
     corpora_from_json,
     generate_corpus,
@@ -39,6 +40,25 @@ def markov_per_token(rng, length, vocab):
     return out
 
 
+def brackets_with_choice(rng, length, vocab):
+    """Reference bracket source: each filler drawn by ``rng.choice``."""
+    pairs = [(2, 3), (4, 5), (6, 7)]
+    fillers = np.arange(8, 16)
+    out = []
+    stack: list[int] = []
+    while len(out) < length:
+        r = rng.random()
+        if stack and (r < 0.35 or len(stack) > 4):
+            out.append(stack.pop())
+        elif r < 0.7:
+            o, c = pairs[int(rng.integers(0, len(pairs)))]
+            out.append(o)
+            stack.append(c)
+        else:
+            out.append(int(rng.choice(fillers)))
+    return np.array(out[:length], dtype=np.int64)
+
+
 class TestGeneration:
     @pytest.mark.parametrize("length", [1, 2, 49, 97])
     @pytest.mark.parametrize("vocab", [16, 64])
@@ -47,6 +67,16 @@ class TestGeneration:
             fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _gen_markov(fast, length, vocab)
             want = markov_per_token(ref, length, vocab)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert fast.random() == ref.random()  # the generator is left in the same state
+
+    @pytest.mark.parametrize("length", [1, 49, 97])
+    def test_brackets_equal_choice_reference(self, length):
+        for seed in range(200):
+            fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _gen_brackets(fast, length, 64)
+            want = brackets_with_choice(ref, length, 64)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert fast.random() == ref.random()  # the generator is left in the same state

@@ -16,7 +16,8 @@ def test_prints_one_json_line_per_case(capsys):
     step_profile = _load()
     assert step_profile.main(["tiny", "--steps", "2", "--warmup", "1"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["case"] for r in rows] == ["lora_step", "all_step", "nograd_forward", "group_readers"]
+    assert [r["case"] for r in rows] == ["lora_step", "all_step", "nograd_forward", "ops",
+                                         "group_readers"]
     for row in rows[:3]:
         assert row["shape"] == "tiny" and row["steps"] == 2
         assert row["median_ms"] > 0 and row["peak_mib"] > 0
@@ -29,6 +30,16 @@ def test_toy_forward_records_one_attention_op_per_block():
     rows = _load().profile("toy", steps=1, warmup=0)
     assert {r["case"]: r["tape_ops"] for r in rows} == {
         "lora_step": 30, "all_step": 34, "nograd_forward": 0}
+
+
+def test_ops_line_times_each_fused_op_forward_and_backward(capsys):
+    step_profile = _load()
+    assert step_profile.main(["tiny", "--steps", "2", "--warmup", "0"]) == 0
+    (row,) = [r for r in map(json.loads, capsys.readouterr().out.splitlines()) if r["case"] == "ops"]
+    assert row.pop("shape") == "tiny" and row.pop("case") == "ops" and row.pop("steps") == 2
+    assert sorted(row) == sorted(f"{op}_{way}_us" for op in ("lora_linear", "causal_attention", "rmsnorm")
+                                 for way in ("fwd", "bwd"))
+    assert all(us > 0 for us in row.values())
 
 
 def test_last_line_times_the_group_readers_over_every_prunable_group(capsys):

@@ -282,9 +282,23 @@ class TestGradcheckEveryOp:
         assert max_relative_error(t.grad, fd["l"]) < 1e-4
 
 
+def _within_1e12(got, want) -> bool:
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def _composed_lora_linear(x, w, a, b, gamma):
-    """Reference: the five-op composition lora_linear replaces."""
+    """The five-op composition lora_linear replaced: three GEMMs, a scale and an add."""
     return T.add(T.linear(x, w), T.scale(T.linear(T.linear(x, a), b), gamma))
+
+
+def _lora_linear_reference(x, w, a, b, gamma, g):
+    """The op's arithmetic: the output by one GEMM on the merged weight, then the
+    x, w, a and b gradients for the output gradient g."""
+    x2, g2 = x.reshape(-1, w.shape[1]), g.reshape(-1, w.shape[0])
+    merged = w + gamma * (b @ a)
+    g_low = g2 * gamma
+    return ((x2 @ merged.T).reshape(g.shape), (g2 @ merged).reshape(x.shape), g2.T @ x2,
+            (g_low @ b).T @ x2, g_low.T @ (x2 @ a.T))
 
 
 class TestLoraLinear:
@@ -298,23 +312,35 @@ class TestLoraLinear:
         probe = Tensor(rand(rng, 2, 5, 7))
         other = Tensor(rand(rng, 2, 5, 6))
         trainable = {"x": x_grad, "w": w_grad, "a": True, "b": True}
+
+        def side(x):
+            # a later consumer of x: its gradient term lands before the op's one term
+            return _sum_all(T.mul(T.silu(x), other))
+
         results = []
-        for op in (_composed_lora_linear, T.lora_linear):
+        for op in (T.lora_linear, _composed_lora_linear):
             t = {k: Tensor(v, requires_grad=trainable[k]) for k, v in arrays.items()}
             with Tape() as tape:
                 out = op(t["x"], t["w"], t["a"], t["b"], 0.7)
-                # a later consumer of x: its gradient term lands first, so the
-                # order of the op's two terms after it shows in the bits
-                side = _sum_all(T.mul(T.silu(t["x"]), other))
-                loss = T.add(_sum_all(T.mul(out, probe)), side)
+                loss = T.add(_sum_all(T.mul(out, probe)), side(t["x"]))
             tape.backward(loss)
             results.append((out.data, {k: v.grad for k, v in t.items()}))
-        (ref_out, ref_grads), (out, grads) = results
+        (out, grads), (old_out, old_grads) = results
+        ref_out, ref_dx, *ref_grads = _lora_linear_reference(*arrays.values(), 0.7, probe.data)
+        x = Tensor(arrays["x"], requires_grad=True)
+        with Tape() as tape:
+            loss = side(x)
+        tape.backward(loss)
+        expected_dx = x.grad
+        expected_dx += ref_dx
+        ref_grads.insert(0, expected_dx)
         assert np.array_equal(out, ref_out)
-        for name, ref in ref_grads.items():
-            assert (grads[name] is None) == (ref is None) == (not trainable[name]), name
-            if ref is not None:
+        assert _within_1e12(out, old_out)
+        for name, ref in zip(arrays, ref_grads):
+            assert (grads[name] is None) == (old_grads[name] is None) == (not trainable[name]), name
+            if trainable[name]:
                 assert np.array_equal(grads[name], ref), name
+                assert _within_1e12(grads[name], old_grads[name]), name
 
     def test_nan_input_rejected_with_op_name(self):
         x = Tensor([[np.nan, 1.0]])
@@ -330,7 +356,7 @@ class TestLoraLinear:
 
 
 class TestLoraLinearNoGrad:
-    """Nothing requires grad: one matmul on the merged weight of merge_lora."""
+    """Nothing requires grad: the same one GEMM on the merged weight of merge_lora."""
 
     @staticmethod
     def _operands(seed):
@@ -349,12 +375,18 @@ class TestLoraLinearNoGrad:
         assert np.array_equal(out.data, T.linear(Tensor(x), Tensor(w)).data)
 
     def test_within_1e12_of_grad_path(self):
+        # one formula: the taped forward gives the same bits, and the previous
+        # three-GEMM arithmetic is within 1e-12
         x, w, a, b = self._operands(33)
-        merged = T.lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(b), 0.7).data
-        unmerged = T.lora_linear(Tensor(x), Tensor(w), Tensor(a, requires_grad=True),
-                                 Tensor(b, requires_grad=True), 0.7).data
-        assert not np.array_equal(merged, unmerged)  # the two paths really differ
-        assert np.max(np.abs(merged - unmerged)) <= 1e-12 * np.max(np.abs(unmerged))
+        nograd = T.lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(b), 0.7).data
+        with Tape() as tape:
+            taped = T.lora_linear(Tensor(x), Tensor(w), Tensor(a, requires_grad=True),
+                                  Tensor(b, requires_grad=True), 0.7)
+        assert len(tape.ops) == 1
+        assert np.array_equal(nograd, taped.data)
+        composed = _composed_lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(b), 0.7).data
+        assert not np.array_equal(nograd, composed)  # the two arithmetics really differ
+        assert _within_1e12(nograd, composed)
 
     def test_records_nothing_on_an_active_tape(self):
         x, w, a, b = self._operands(34)
@@ -370,13 +402,18 @@ class TestLoraLinearNoGrad:
             T.lora_linear(*operands, 0.7)
 
 
-def _causal_softmax_reference(x):
+def _row_sums(x, einsum):
+    """Row sums of the last axis: einsum's, or numpy's pairwise ``sum`` (the previous arithmetic)."""
+    return np.einsum("...ij->...i", x)[..., None] if einsum else x.sum(axis=-1, keepdims=True)
+
+
+def _causal_softmax_reference(x, einsum=True):
     """The -inf formulation: exp(-inf) is exactly +0.0 above the diagonal."""
     n = x.shape[-1]
     probs = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), -np.inf, x)
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= _row_sums(probs, einsum)
     return probs
 
 
@@ -388,6 +425,7 @@ class TestCausalSoftmax:
         with np.errstate(all="raise"):
             out = T._causal_probs(x.copy())
         assert np.array_equal(out, ref)
+        assert _within_1e12(out, _causal_softmax_reference(x, einsum=False))
         masked = out[..., above]
         assert np.array_equal(masked, np.zeros_like(masked)) and not np.signbit(masked).any()
 
@@ -397,11 +435,13 @@ class TestCausalSoftmax:
         self._check(rng.normal(0.0, 3.0, size=(*lead, n, n)))
 
     @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
-    def test_extreme_masked_entries_are_never_read(self, n, seed):
+    def test_extreme_masked_entries_change_no_bit(self, n, seed):
+        # the shift and exp read masked entries, under the op's own errstate
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, n, n))
         above = np.triu(np.ones((n, n), dtype=bool), k=1)
-        x[:, above] = rng.choice([-1e308, 1e308], size=(2, int(above.sum())))
+        x[:, above] = rng.choice([-1e308, 1e308, -np.inf, np.inf, np.nan],
+                                 size=(2, int(above.sum())))
         self._check(x)
 
     def test_one_by_one(self):
@@ -422,8 +462,12 @@ class TestCausalSoftmax:
             assert not np.any(k.grad[:, t:]) and not np.any(v.grad[:, t:])
 
 
-def _attention_reference(q, k, v, n_heads, g):
-    """Separate-op attention arithmetic: the output, then the q, k, v gradients for g."""
+def _attention_reference(q, k, v, n_heads, g, einsum=True):
+    """Separate-op attention arithmetic: the output, then the q, k, v gradients for g.
+
+    Both row sums (the softmax's and rowsum(dP * P)) are einsum's, as the op's
+    are; ``einsum=False`` gives the previous arithmetic, numpy's pairwise sums.
+    """
     b, t, dim = q.shape
     dh = dim // n_heads
     c = 1.0 / math.sqrt(dh)
@@ -437,10 +481,10 @@ def _attention_reference(q, k, v, n_heads, g):
     qh, kh, vh = split(q), split(k), split(v)
     sq = qh * c
     kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
-    probs = _causal_softmax_reference(sq @ kt)
+    probs = _causal_softmax_reference(sq @ kt, einsum)
     g_ctx = split(g)
     dp = g_ctx @ vh.swapaxes(-1, -2)
-    ds = probs * (dp - np.sum(dp * probs, axis=-1, keepdims=True))
+    ds = probs * (dp - _row_sums(dp * probs, einsum))
     dkh = np.ascontiguousarray((sq.swapaxes(-1, -2) @ ds).transpose(0, 1, 3, 2))
     return (merge(probs @ vh), merge((ds @ kt.swapaxes(-1, -2)) * c), merge(dkh),
             merge(probs.swapaxes(-1, -2) @ g_ctx))
@@ -456,10 +500,12 @@ class TestCausalAttention:
             out = T.causal_attention(q, k, v, n_heads)
             loss = _sum_all(T.mul(out, Tensor(g)))
         ref = _attention_reference(q.data, k.data, v.data, n_heads, g)
+        old = _attention_reference(q.data, k.data, v.data, n_heads, g, einsum=False)
         assert np.array_equal(out.data, ref[0])
         tape.backward(loss)
-        for got, want in zip((q.grad, k.grad, v.grad), ref[1:]):
+        for got, want, previous in zip((out.data, q.grad, k.grad, v.grad), ref, old):
             assert np.array_equal(got, want)
+            assert _within_1e12(got, previous)
         assert np.array_equal(T.causal_attention(Tensor(q.data), Tensor(k.data), Tensor(v.data),
                                                  n_heads).data, ref[0])
 
@@ -479,6 +525,29 @@ class TestCausalAttention:
         q[0, 1, 2] = np.nan
         with pytest.raises(NumericError, match="causal_attention"):
             T.causal_attention(Tensor(q), Tensor(np.ones((1, 3, 4))), Tensor(np.ones((1, 3, 4))), 2)
+
+    @given(st.integers(1, 2), st.integers(2, 7), st.sampled_from([(4, 1), (4, 2), (6, 3)]),
+           st.data())
+    def test_positions_before_t_never_read_later_inputs(self, b, t_len, shape, data):
+        # a loss on positions before t: the output there and every gradient
+        # before t keep their bits when q, k and v at t or later change
+        dim, n_heads = shape
+        t = data.draw(st.integers(1, t_len - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        arrays = [rand(rng, b, t_len, dim) for _ in range(4)]
+        arrays[3][:, t:] = 0.0
+        results = []
+        for _ in range(2):
+            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays[:3])
+            with Tape() as tape:
+                out = T.causal_attention(q, k, v, n_heads)
+                loss = _sum_all(T.mul(out, Tensor(arrays[3])))
+            tape.backward(loss)
+            results.append([x[:, :t] for x in (out.data, q.grad, k.grad, v.grad)])
+            for a in arrays[:3]:
+                a[:, t:] = rng.normal(0.0, 10.0, size=a[:, t:].shape)
+        for before, after in zip(*results):
+            assert np.array_equal(before, after)
 
     def test_overflowing_scores_rejected_with_op_name(self):
         # finite queries and keys whose scores overflow fail here, not in a later op
