@@ -1,6 +1,7 @@
 """Command-line pipeline driver.
 
-One subcommand per pipeline stage plus ``run-all`` chaining them, and
+One subcommand per stage of ``pipeline.STAGES``, the only way to run a
+single stage, plus ``run-all`` chaining them, and
 ``graph dump`` / ``groups dump`` for inspecting the dependency analysis of a
 checkpoint. Exit codes: 0 success, 2 configuration error, 3 stage
 precondition error, 4 numeric failure, 1 anything else.
@@ -43,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structured pruning pipeline for a LoRA-augmented toy transformer.",
         parents=[_shared_options(suppress=False)],
     )
-    parser.add_argument(
-        "--stage", default=None, help="run a single stage by name (alternative to a subcommand)"
-    )
     shared = _shared_options(suppress=True)
     sub = parser.add_subparsers(dest="command")
     for stage in pipeline.STAGES:
@@ -82,20 +80,15 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         cfg = load_config(args.config, seed=args.seed)
-        stage = args.command or args.stage
-        if stage is None:
+        if args.command is None:
             parser.print_help()
             return 2
-        if stage == "run-all":
+        if args.command == "run-all":
             pipeline.run_all(cfg, args.out)
-        elif stage == "eval":
-            models = getattr(args, "model", None)
-            pipeline.eval_model_paths(models)  # a bad --model exits before --out is made
-            args.out.mkdir(parents=True, exist_ok=True)
-            pipeline.write_config(cfg, args.out / "config.json")
-            pipeline.stage_eval(cfg, args.out, models=models)
+        elif args.command == "eval":
+            pipeline.run_stage("eval", cfg, args.out, models=args.model)
         else:
-            pipeline.run_stage(stage, cfg, args.out)
+            pipeline.run_stage(args.command, cfg, args.out)
         return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

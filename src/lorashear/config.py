@@ -3,8 +3,9 @@
 The sections below are the only configuration; each stage reads its section
 as it is. Every value is judged when the config loads, before any stage
 writes a file, by ``ModelConfig`` and the ``RULES`` table: a bad value is a
-ConfigError naming its ``config.<section>.<field>`` path. One combination
-waits for analyze's group count: prune rejects a ``lhspg.pruning_ratio`` and
+ConfigError naming its ``config.<section>.<field>`` path. Stages never judge
+a value again; each rule has this one copy. One combination waits for
+analyze's group count: prune rejects a ``lhspg.pruning_ratio`` and
 ``analysis.unprunable_fraction`` that would zero every structure group.
 
 All defaults are materialized into the output directory at the start of a

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .artifacts import write_json
-from .errors import ConfigError, FormatError
+from .errors import FormatError
 
 PRETRAIN_KINDS = ("markov", "brackets", "copy", "runs")
 INSTRUCT_KINDS = ("qa_copy", "qa_lookup")
@@ -142,8 +142,6 @@ GENERATORS = {
 def generate_source(
     kind: str, n_sequences: int, seq_len: int, vocab: int, rng: np.random.Generator
 ) -> np.ndarray:
-    if kind not in GENERATORS:
-        raise ConfigError(f"unknown corpus source kind {kind!r}")
     gen = GENERATORS[kind]
     if kind == "qa_lookup":
         gen = partial(gen, table=rng.integers(20, 37, size=(12, 3)))
@@ -159,8 +157,8 @@ def generate_corpus(
     vocab: int,
     rng: np.random.Generator,
 ) -> SourceTaggedCorpus:
-    if not kinds:
-        raise ConfigError(f"corpus {name!r} has no sources")
+    """One source per name in ``kinds``: a non-empty list of ``GENERATORS`` names,
+    as the ``data.*_sources`` rules of ``config.RULES`` require."""
     sources = {}
     for kind in kinds:
         seqs = generate_source(kind, n_train + n_val, seq_len, vocab, rng)

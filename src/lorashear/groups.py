@@ -443,21 +443,11 @@ def frozen_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
 
 def effective_slice_vector(model: LoraModel, group: StructureGroup) -> np.ndarray:
     """Same as frozen_slice_vector but on host + gamma*B@A effective weights."""
-    parts = []
-    for s in group.host_slices():
-        mod = model.lora_linears()[s.param.removesuffix(".weight")]
-        w = model.parameters()[s.param].data
-        idx = list(s.indices)
-        if s.axis == 0:
-            part = w[idx, :].copy()
-            if mod.has_lora:
-                part += mod.gamma * (mod.lora_b.data[idx, :] @ mod.lora_a.data)
-        else:
-            part = w[:, idx].copy()
-            if mod.has_lora:
-                part += mod.gamma * (mod.lora_b.data @ mod.lora_a.data[:, idx])
-        parts.append(part.ravel())
-    return np.concatenate(parts)
+    modules = model.lora_linears()
+    return np.concatenate(
+        [modules[s.param.removesuffix(".weight")].effective_weight(*_index(s)).ravel()
+         for s in group.host_slices()]
+    )
 
 
 def write_frozen_slices(model: LoraModel, group: StructureGroup, vector: np.ndarray) -> None:

@@ -119,11 +119,11 @@ def analyze(
 ) -> KnowledgeProfile:
     """Probe every prunable node group and flag the top fraction unprunable.
 
-    Mutates ``group_set`` statuses: structure groups of flagged node groups
-    become "unprunable"; everything else stays "prunable".
+    ``unprunable_fraction`` is ``config.analysis.unprunable_fraction``, in
+    [0, 1) when the config loaded. Mutates ``group_set`` statuses: structure
+    groups of flagged node groups become "unprunable"; everything else stays
+    "prunable".
     """
-    if not (0.0 <= unprunable_fraction < 1.0):
-        raise ConfigError(f"analysis.unprunable_fraction must be in [0, 1), got {unprunable_fraction}")
     if np.asarray(eval_seqs).size == 0:
         raise ConfigError("analysis evaluation set is empty")
     families = node_groups.prunable_families()

@@ -32,7 +32,6 @@ import numpy as np
 
 from .artifacts import event_log
 from .config import LhspgSection
-from .errors import ConfigError
 from .groups import (
     GroupSet,
     StructureGroup,
@@ -168,7 +167,7 @@ def run_lhspg(
 
     ``config`` is the pipeline's ``lhspg`` section, checked when it loaded
     (its ``pruning_ratio`` gave the caller ``target``); ``seed`` seeds the
-    batch draws. A target above the prunable group count is a ConfigError.
+    batch draws.
     ``group_set`` statuses are the run's state: a group turns ``redundant``
     as its period starts and the other prunable groups ``important`` at the end.
 
@@ -177,8 +176,6 @@ def run_lhspg(
     done events; all run invariants are checkable from the log alone.
     """
     prunable = group_set.prunable_ids()
-    if target > len(prunable):
-        raise ConfigError(f"target of {target} zero groups exceeds {len(prunable)} prunable groups")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A5B]))
     losses: list[float] = []
     with event_log(log_path) as log:

@@ -95,11 +95,20 @@ class LoraLinear:
             return T.linear(h, self.weight)
         return T.lora_linear(h, self.weight, self.lora_a, self.lora_b, self.gamma)
 
+    def effective_weight(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """The ``rows`` x ``cols`` block of host + gamma*B@A, the host's alone without
+        an adaptor. Sliced from the operands, never from the full product, whose
+        slice can differ in the last bits."""
+        w = self.weight.data[rows, cols]
+        if not self.has_lora:
+            return w
+        return T.merged_weight(w, self.lora_a.data[:, cols], self.lora_b.data[rows, :], self.gamma)
+
     def merge_lora(self) -> None:
-        """Fold the adaptor into the host (x += gamma*B@A; B <- 0). Idempotent."""
+        """Fold the adaptor into the host (x <- ``effective_weight``; B <- 0). Idempotent."""
         if not self.has_lora:
             return
-        self.weight.data += self.gamma * (self.lora_b.data @ self.lora_a.data)
+        self.weight.data[:] = self.effective_weight()
         self.lora_b.data[:] = 0.0
 
 
@@ -270,10 +279,6 @@ class LoraModel:
     def _mlp(self, blk: Block, h: Tensor) -> Tensor:
         gated = T.mul(T.silu(blk.gate.apply(h)), blk.up.apply(h))
         return blk.down.apply(gated)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.config.vocab_size
 
 
 def parameter_shapes(config: ModelConfig, block_dims) -> dict[str, tuple[int, ...]]:

@@ -5,7 +5,9 @@ writes versioned, self-describing artifacts (schema version + producing
 stage + config hash), so out-of-order invocation with a different
 configuration is detected instead of silently mixing runs. Running stages
 one at a time produces byte-identical output to ``run-all`` because each
-stage derives its randomness from the single pipeline seed.
+stage derives its randomness from the single pipeline seed. ``STAGES`` maps
+each stage name, in run order, to its function; every way into a stage goes
+through ``run_stage``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .lhspg import run_lhspg
 from .model import LoraModel, build_model
 from .optim import AdamW, train_step
 from .util import stage_rng
-
-STAGES = ("gen-data", "pretrain", "analyze", "prune", "compress", "recover", "eval", "report")
 
 ARTIFACTS = {
     "gen-data": ("corpus.json",),
@@ -300,8 +300,8 @@ def eval_model_paths(models: list[str] | None) -> list[Path]:
     return paths
 
 
-def stage_eval(cfg: PipelineConfig, out: Path, models: list[str] | None = None) -> None:
-    paths = eval_model_paths(models)
+def stage_eval(cfg: PipelineConfig, out: Path, paths: list[Path] | None = None) -> None:
+    """Score ``paths`` (checked by ``eval_model_paths``), or else every model checkpoint in ``out``."""
     corpora = _corpora(out, "eval", cfg)
     if not paths:
         names = ("model_full.lshr", "model_pruned.lshr", "model_compact.lshr", "model_recovered.lshr")
@@ -389,22 +389,28 @@ def stage_report(cfg: PipelineConfig, out: Path) -> None:
     write_atomic(out / "report.md", "\n".join(lines) + "\n")
 
 
-def run_stage(stage: str, cfg: PipelineConfig, out: Path) -> None:
+STAGES = {
+    "gen-data": stage_gen_data,
+    "pretrain": stage_pretrain,
+    "analyze": stage_analyze,
+    "prune": stage_prune,
+    "compress": stage_compress,
+    "recover": stage_recover,
+    "eval": stage_eval,
+    "report": stage_report,
+}
+
+
+def run_stage(stage: str, cfg: PipelineConfig, out: Path, models: list[str] | None = None) -> None:
+    """Run ``stage`` into ``out``, which it makes, writing config.json first.
+
+    ``models`` are the checkpoints ``eval --model`` names; they are checked
+    before ``out`` is made, so a bad one leaves nothing behind.
+    """
+    options = {"paths": eval_model_paths(models)} if models else {}
     out.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out / "config.json")
-    dispatch = {
-        "gen-data": stage_gen_data,
-        "pretrain": stage_pretrain,
-        "analyze": stage_analyze,
-        "prune": stage_prune,
-        "compress": stage_compress,
-        "recover": stage_recover,
-        "eval": stage_eval,
-        "report": stage_report,
-    }
-    if stage not in dispatch:
-        raise StageError(f"unknown stage {stage!r}; stages: {', '.join(STAGES)}")
-    dispatch[stage](cfg, out)
+    STAGES[stage](cfg, out, **options)
 
 
 def run_all(cfg: PipelineConfig, out: Path) -> None:

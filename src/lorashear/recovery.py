@@ -59,13 +59,10 @@ def allocate_subset(
 ) -> dict[str, int]:
     """Floor allocation floor(floor_frac*total) per source, remainder split
     proportionally to positive degradation by largest-remainder rounding.
-    The counts always sum to exactly ``total``."""
-    if not names:
-        raise ConfigError("allocation requires at least one source")
-    if floor_frac * len(names) >= 1.0:
-        raise ConfigError(f"source_floor {floor_frac} * {len(names)} sources must be < 1")
-    if floor_frac > 0 and total < len(names):
-        raise ConfigError(f"subset_size {total} smaller than {len(names)} sources with floor active")
+    The counts always sum to exactly ``total``. The ``config.RULES`` for
+    ``data.*_sources``, ``recovery.source_floor`` and ``recovery.subset_size``
+    make ``names`` non-empty, ``floor_frac * len(names)`` below 1 and
+    ``total`` at least ``len(names)`` while the floor is active."""
     names = sorted(names)
     base = int(math.floor(floor_frac * total))
     remainder = total - base * len(names)
@@ -147,8 +144,6 @@ def run_recovery(
     loaded; ``seed`` seeds the subset and batch draws.
     """
     phases = [p for p in ("pretraining", "instruct") if p in corpora]
-    if not phases:
-        raise ConfigError("recovery requires at least one corpus phase")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x2EC0]))
 
     with event_log(log_path) as emit:

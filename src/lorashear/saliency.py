@@ -36,10 +36,7 @@ def effective_l2_all(model: LoraModel, group_set: GroupSet) -> np.ndarray:
     for (param, axis), entry in group_set.index.items():
         if entry.role != "host":
             continue
-        mod = modules[param.removesuffix(".weight")]
-        w = mod.weight.data
-        if mod.has_lora:
-            w = w + mod.gamma * (mod.lora_b.data @ mod.lora_a.data)
+        w = modules[param.removesuffix(".weight")].effective_weight()
         sums = (w * w).sum(axis=1 - axis)
         squares += np.bincount(entry.owners, weights=sums[entry.indices], minlength=n)
         sizes += np.bincount(entry.owners, minlength=n) * w.shape[1 - axis]

@@ -350,7 +350,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _record("linear", (x, w), out, rule)
 
 
-def _merged_weight(wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, gamma: float) -> np.ndarray:
+def merged_weight(wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, gamma: float) -> np.ndarray:
     """``w + gamma * (b @ a)``: the weight ``LoraLinear.merge_lora`` leaves in the host."""
     return wd + gamma * (bd @ ad)
 
@@ -383,7 +383,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
     wd, ad, bd = w.data, a.data, b.data
     x2 = x.data.reshape(-1, wd.shape[1])
     out = Tensor(
-        (x2 @ _merged_weight(wd, ad, bd, gamma).T).reshape(*x.shape[:-1], wd.shape[0]),
+        (x2 @ merged_weight(wd, ad, bd, gamma).T).reshape(*x.shape[:-1], wd.shape[0]),
         requires_grad=_needs(x, w, a, b),
     )
     # the activations are kept only for the gradients that read them
@@ -393,7 +393,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
     def rule(g, cx, cw, ca, cb):
         g2 = g.reshape(-1, wd.shape[0])
         if cx is not None:
-            cx.accumulate((g2 @ _merged_weight(wd, ad, bd, gamma)).reshape(cx.shape))
+            cx.accumulate((g2 @ merged_weight(wd, ad, bd, gamma)).reshape(cx.shape))
         if cw is not None:
             cw.accumulate(g2.T @ x2)
         if ca is not None or cb is not None:

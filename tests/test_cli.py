@@ -454,10 +454,15 @@ class TestStages:
             for name in names:
                 assert (finished_run / name).exists(), name
 
-    def test_stage_flag_equivalent_to_subcommand(self, micro_cfg_file, finished_run, tmp_path):
+    @pytest.mark.parametrize("stage", ["gen-data", "bogus"])
+    def test_stage_flag_is_exit_2_before_any_file(self, tmp_path, capsys, stage):
+        # a stage has one way in, its subcommand
         out = tmp_path / "byflag"
-        assert main(["--config", str(micro_cfg_file), "--out", str(out), "--stage", "gen-data"]) == 0
-        assert (out / "corpus.json").read_bytes() == (finished_run / "corpus.json").read_bytes()
+        with pytest.raises(SystemExit) as exited:
+            main(["--stage", stage, "--out", str(out)])
+        assert exited.value.code == 2
+        assert "lorashear: error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_prune_summary_states_the_requested_zero_count(self, finished_run):
         summary = json.loads((finished_run / "prune_summary.json").read_text())

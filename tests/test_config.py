@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -168,3 +169,55 @@ class RoundSettings:
     assert "RoundSettings~recovery" in section_copies(copy)
     own = {f"{s.title()}Section~{s}" for s in SECTION_FIELDS}
     assert own <= set(section_copies((PACKAGE / "config.py").read_text(encoding="utf-8")))
+
+
+# how many ConfigErrors each scope outside config.py raises: the model's own
+# config and trainable selector, prune's one check that needs analyze's group
+# count, eval's --model names, and the guards on data that no config value reaches
+CONFIG_ERROR_HOMES = {
+    "evaluate.py": {"mean_cross_entropy": 1, "source_losses": 2},
+    "knowledge.py": {"analyze": 1},
+    "model.py": {"ModelConfig.__post_init__": 4, "LoraModel.set_trainable": 1},
+    "pipeline.py": {"stage_prune": 1, "eval_model_paths": 1},
+    "recovery.py": {"build_subset": 1},
+}
+
+
+def config_error_raises(source: str) -> list[str]:
+    """The qualified name of the scope around each ``raise ConfigError``, in source order."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc).split(".")[-1] == "ConfigError":
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_config_error_is_raised_only_in_its_homes():
+    # config.RULES judges every value as the config loads; a stage judging one again is a second copy
+    raised = {
+        path.name: Counter(config_error_raises(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+    }
+    assert {name: scopes for name, scopes in raised.items() if scopes} == CONFIG_ERROR_HOMES
+
+
+def test_config_error_guard_sees_each_form():
+    src = (
+        "raise ConfigError\n"
+        "def f(x):\n    if x:\n        raise ConfigError(f'{x}')\n"
+        "class C:\n    def g(self):\n        try:\n            pass\n"
+        "        except KeyError as e:\n            raise errors.ConfigError('k') from e\n"
+        "def h():\n    raise StageError('not this one')\n"
+    )
+    assert config_error_raises(src) == ["<module>", "f", "C.g"]

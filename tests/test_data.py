@@ -108,14 +108,6 @@ class TestGeneration:
         seq = corpus.sources["qa_copy"].train[0]
         assert 40 in seq and 41 in seq  # prompt and answer markers
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown corpus source"):
-            generate_corpus("p", ("nope",), 2, 1, 8, 64, np.random.default_rng(0))
-
-    def test_empty_kinds_rejected(self):
-        with pytest.raises(ConfigError, match="no sources"):
-            generate_corpus("p", (), 2, 1, 8, 64, np.random.default_rng(0))
-
     def test_json_round_trip(self, tmp_path):
         corpus = generate_corpus("pretraining", ("markov", "copy"), 4, 2, 12, 64,
                                  np.random.default_rng(4))

@@ -203,11 +203,6 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match="empty"):
             analyze(model, group_set, node_groups, (0.25,), np.empty((0, 10), dtype=int), 0.1)
 
-    def test_invalid_fraction_rejected(self, probed):
-        model, _, node_groups, group_set, eval_seqs = probed
-        with pytest.raises(ConfigError, match="unprunable_fraction"):
-            analyze(model, group_set, node_groups, (0.25,), eval_seqs, 1.0)
-
     def test_profile_emits_plot_data(self, probed, tmp_path):
         from lorashear.knowledge import save_profile
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lorashear.config import LhspgSection
-from lorashear.errors import ConfigError, NumericError
+from lorashear.errors import NumericError
 from lorashear.baseline import one_shot_prune
 from lorashear.graph import build_trace_graph
 from lorashear.groups import (
@@ -275,12 +275,6 @@ def quick_config(**kw):
 
 
 class TestRun:
-    def test_target_exceeding_prunable_rejected(self, trained_toy):
-        model, corpus = trained_toy
-        _, group_set = structures(model)
-        with pytest.raises(ConfigError, match="prunable"):
-            run_lhspg(model, group_set, quick_config(), 137, SEED, corpus.sample_batch)
-
     def test_k_zero_equals_plain_lora_finetuning(self, trained_toy):
         # independent twin: replicate the exact control flow (same seeded batch
         # stream, same optimizer, merge each period) without any pruning code

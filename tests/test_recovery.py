@@ -61,14 +61,6 @@ class TestAllocation:
         got = allocate_subset(["a", "b"], {"a": -2.0, "b": 0.0}, 10, 0.0)
         assert got == {"a": 5, "b": 5}
 
-    def test_floor_with_too_small_budget_rejected(self):
-        with pytest.raises(ConfigError, match="smaller than"):
-            allocate_subset(["a", "b", "c"], {s: 1.0 for s in "abc"}, 2, 0.1)
-
-    def test_excessive_floor_rejected(self):
-        with pytest.raises(ConfigError, match="must be < 1"):
-            allocate_subset(["a", "b", "c"], {s: 1.0 for s in "abc"}, 30, 0.4)
-
     @given(
         n_sources=st.integers(1, 6),
         total=st.integers(6, 200),
