@@ -27,9 +27,6 @@ class CompressionPlan:
     kept: dict[str, dict[int, list[int]]] = field(default_factory=dict)
     removed_units: dict[str, list[int]] = field(default_factory=dict)
 
-    def is_identity(self) -> bool:
-        return not self.kept
-
     def to_json(self) -> dict:
         return {
             "schema_version": 1,

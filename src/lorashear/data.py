@@ -196,7 +196,8 @@ def corpora_from_json(
     for a token id that is not a JSON integer (``true`` included), for one
     outside ``[0, vocab_size)``, for a split that is not a non-empty matrix
     of the payload's ``seq_len + 1`` ids per row, and unless the corpus names
-    and each corpus's source names are exactly those of ``expected``."""
+    and each corpus's source names are exactly those of ``expected``. The
+    corpora come in ``expected`` order, whatever the payload's key order."""
     if payload.get("schema_version") != 1:
         raise FormatError("unsupported corpus schema")
 
@@ -224,4 +225,4 @@ def corpora_from_json(
             raise ValueError(f"corpora and sources {found} are not the configuration's {want}")
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as e:
         raise FormatError(f"corpus schema violated: {type(e).__name__}: {e}") from e
-    return corpora
+    return {name: corpora[name] for name in expected}

@@ -8,9 +8,10 @@ tensors before and after). The node groups with the largest mean deviation
 are marked unprunable, which flags every structure group they own.
 
 The intact model is scored once, and that pass keeps the residual stream
-entering each sublayer a probe first changes. Every probe forward resumes
-there instead of re-running the embedding and the blocks it left intact;
-the same ops run on the same inputs, so every number is unchanged.
+entering every sublayer after the first. Every probe forward resumes at the
+first sublayer it changes instead of re-running the embedding and the blocks
+it left intact; the same ops run on the same inputs, so every number is
+unchanged.
 """
 
 from __future__ import annotations
@@ -58,14 +59,6 @@ class KnowledgeProfile:
         }
 
 
-def _resume_point(model: LoraModel, written, residuals) -> int:
-    """Latest sublayer ``residuals`` holds at or before the first that reads a ``written`` tensor."""
-    if not residuals:
-        return 0
-    first = model.first_reader(written)
-    return max((s for s in residuals[0] if s <= first), default=0)
-
-
 def probe_deviation(
     model: LoraModel,
     group_set: GroupSet,
@@ -79,10 +72,11 @@ def probe_deviation(
 
     The node group's structures are ranked by ``least_salient`` once; each ratio
     zeroes the first ``ceil(ratio * n)`` of them. ``residuals`` holds the
-    intact model's residual streams per evaluation chunk, as ``analyze``
-    records them; each ratio's forward then resumes at the latest recorded
-    sublayer at or before the first one that reads a zeroed tensor, where
-    the streams are still the intact model's. The model is restored
+    intact model's residual streams per evaluation chunk at every sublayer
+    from 1 to 2 * n_layers - 1, as ``analyze`` records them; each ratio's
+    forward then resumes at the first sublayer that reads a zeroed tensor,
+    where the streams are still the intact model's, and without
+    ``residuals`` at the embedding. The model is restored
     bit-identically after every ratio; a full-tensor hash mismatch is a
     hard corruption failure.
     """
@@ -99,7 +93,7 @@ def probe_deviation(
         snapshot = {name: params[name].data.copy() for name in affected}
         for g in chosen:
             zero_structure(model, g)
-        start = _resume_point(model, [params[name] for name in affected], residuals)
+        start = 0 if residuals is None else model.first_reader(params[name] for name in affected)
         pruned_ppl = math.exp(mean_cross_entropy(model, eval_seqs, start=start, residuals=residuals))
         for name in affected:
             params[name].data[:] = snapshot[name]
@@ -126,15 +120,10 @@ def analyze(
     """
     if np.asarray(eval_seqs).size == 0:
         raise ConfigError("analysis evaluation set is empty")
-    families = node_groups.prunable_families()
-    family_ids = [f.id for f in families]
-    # keep the intact residual stream only where some probe resumes
-    params = model.parameters()
-    written: dict[str, set[str]] = {}
-    for g in group_set.groups:
-        written.setdefault(g.node_group, set()).update(s.param for s in g.slices)
-    starts = {model.first_reader(params[n] for n in written.get(fid, ())) for fid in family_ids}
-    residuals = empty_residuals(eval_seqs, starts - {0})
+    family_ids = [f.id for f in node_groups.prunable_families()]
+    # every block's attention and MLP is a prunable family, so a probe can
+    # resume at any sublayer after the first
+    residuals = empty_residuals(eval_seqs, range(1, 2 * len(model.blocks)))
     base_ppl = math.exp(mean_cross_entropy(model, eval_seqs, keep=residuals))
 
     deviations = {

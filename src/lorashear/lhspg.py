@@ -49,14 +49,16 @@ from .saliency import least_salient
 
 
 def period_quotas(target: int, periods: int) -> list[int]:
-    """ceil(target/periods) per period, the final period absorbing the remainder."""
-    base = math.ceil(target / periods) if periods else 0
+    """ceil(target/periods) per period, the final period absorbing the remainder.
+
+    ``periods`` is at least 1, as ``config.RULES`` requires of ``lhspg.periods``."""
+    base = math.ceil(target / periods)
     quotas = []
     assigned = 0
     for p in range(periods):
         q = target - assigned if p == periods - 1 else min(base, target - assigned)
-        quotas.append(max(q, 0))
-        assigned += quotas[-1]
+        quotas.append(q)
+        assigned += q
     return quotas
 
 
@@ -144,7 +146,6 @@ def end_of_period_merge(model: LoraModel) -> None:
 @dataclass
 class LhspgResult:
     zero_groups: int
-    losses: list[float]
 
 
 def count_zero_groups(model: LoraModel, group_set: GroupSet, ids: list[str]) -> int:
@@ -177,7 +178,6 @@ def run_lhspg(
     """
     prunable = group_set.prunable_ids()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A5B]))
-    losses: list[float] = []
     with event_log(log_path) as log:
 
         def emit(event: dict) -> None:
@@ -185,7 +185,7 @@ def run_lhspg(
             if inspect is not None:
                 inspect(event, model)
 
-        warmup_losses = warmup(
+        warmup(
             model,
             lambda: sample_batch(rng, config.batch_size),
             config.warmup_steps,
@@ -195,7 +195,6 @@ def run_lhspg(
                  "zero_groups": None, "projected": []}
             ),
         )
-        losses.extend(warmup_losses)
         if after_warmup is not None:
             after_warmup(model)
 
@@ -229,7 +228,6 @@ def run_lhspg(
                     config,
                     final_step_of_period=(t == config.steps_per_period - 1),
                 )
-                losses.append(value)
                 emit(
                     {
                         "event": "step",
@@ -255,4 +253,4 @@ def run_lhspg(
                 "redundant": group_set.ids_with_status("redundant"),
             },
         )
-        return LhspgResult(zero_groups=zero, losses=losses)
+        return LhspgResult(zero_groups=zero)

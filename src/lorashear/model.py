@@ -87,9 +87,6 @@ class LoraLinear:
     def has_lora(self) -> bool:
         return self.lora_a is not None
 
-    def tensors(self) -> list[Tensor]:
-        return [self.weight] if not self.has_lora else [self.weight, self.lora_a, self.lora_b]
-
     def apply(self, h: Tensor) -> Tensor:
         if not self.has_lora:
             return T.linear(h, self.weight)

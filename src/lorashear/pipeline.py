@@ -187,10 +187,6 @@ def stage_analyze(cfg: PipelineConfig, out: Path) -> None:
     dump_groups(node_groups, group_set, out / "groups.json")
 
 
-def derive_target_zero_groups(cfg: PipelineConfig, group_set: GroupSet) -> int:
-    return int(round(cfg.lhspg.pruning_ratio * len(group_set.prunable_ids())))
-
-
 def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     model = _require(out, "model_full.lshr", "prune", cfg)
     corpus = _corpora(out, "prune", cfg)["pretraining"]
@@ -200,7 +196,7 @@ def stage_prune(cfg: PipelineConfig, out: Path) -> None:
     _apply_statuses(group_set, groups_payload, "groups.json", "prune", ("prunable", "unprunable"))
 
     n_prunable = len(group_set.prunable_ids())
-    target = derive_target_zero_groups(cfg, group_set)
+    target = int(round(cfg.lhspg.pruning_ratio * n_prunable))
     if target == len(group_set.groups):
         # the one config check that needs analyze's group count
         raise ConfigError(
@@ -304,7 +300,7 @@ def stage_eval(cfg: PipelineConfig, out: Path, paths: list[Path] | None = None) 
     """Score ``paths`` (checked by ``eval_model_paths``), or else every model checkpoint in ``out``."""
     corpora = _corpora(out, "eval", cfg)
     if not paths:
-        names = ("model_full.lshr", "model_pruned.lshr", "model_compact.lshr", "model_recovered.lshr")
+        names = [n for made in ARTIFACTS.values() for n in made if n.endswith(".lshr")]
         paths = [out / n for n in names if (out / n).exists()]
         if not paths:
             raise StageError("stage eval: no model checkpoints found; run pretrain first")
@@ -312,7 +308,7 @@ def stage_eval(cfg: PipelineConfig, out: Path, paths: list[Path] | None = None) 
     for path in paths:
         model = _load_model(path, "stage eval")
         per_corpus = {}
-        for phase, corpus in sorted(corpora.items()):
+        for phase, corpus in corpora.items():
             losses = source_losses(model, corpus)
             scores = {name: math.exp(loss) for name, loss in losses.items()}
             per_corpus[phase] = {

@@ -1,7 +1,8 @@
 """Dynamic knowledge recovery for the compact model.
 
-Two phases in order, pretraining-style then instruction-style. Each round
-builds a training subset that prioritizes sources by their perplexity
+One phase per corpus, in the order the corpora come; the pipeline gives
+pretraining-style, then instruction-style (``pipeline.corpus_sources``). Each
+round builds a training subset that prioritizes sources by their perplexity
 degradation against cached full-model reference scores, guaranteeing every
 source a floor allocation, and runs LoRA-only fine-tuning on it. Each model
 state is scored once: the per-source scores taken after a round give the
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -135,27 +135,25 @@ def run_recovery(
     seed: int,
     log_path=None,
 ) -> RecoverySummary:
-    """Run both phases in order on ``model`` (mutated in place, LoRA merged).
+    """Run one phase per corpus on ``model`` (mutated in place, LoRA merged).
 
-    ``corpora`` maps phase name -> corpus; phases run in the fixed order
-    ("pretraining", "instruct"), the second starting only after the first
-    converges. ``full_scores`` are the cached full-model per-source ppls.
+    ``corpora`` maps phase name -> corpus; phases run in its order, each
+    starting only after the one before converges. ``full_scores`` are the
+    cached full-model per-source ppls by phase.
     ``config`` is the pipeline's ``recovery`` section, checked when it
     loaded; ``seed`` seeds the subset and batch draws.
     """
-    phases = [p for p in ("pretraining", "instruct") if p in corpora]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x2EC0]))
 
     with event_log(log_path) as emit:
-        start = {phase: source_losses(model, corpora[phase]) for phase in phases}
+        start = {phase: source_losses(model, corpus) for phase, corpus in corpora.items()}
         pre_ppl = _phase_ppl(start)
         emit({"event": "start", "pre_ppl": pre_ppl})
-        for phase in phases:
-            corpus = corpora[phase]
+        for i, (phase, corpus) in enumerate(corpora.items()):
             tracker = ConvergenceTracker(tol=config.tol, patience=config.patience)
             # the first phase starts from the model just scored, a later one
             # from the model the previous phase's merge changed
-            losses = start[phase] if phase == phases[0] else source_losses(model, corpus)
+            losses = start[phase] if i == 0 else source_losses(model, corpus)
             for round_idx in range(config.max_rounds):
                 degradation = measure_degradation(losses, full_scores[phase])
                 subset, allocations = build_subset(
@@ -181,6 +179,6 @@ def run_recovery(
                     break
             model.merge_all_lora()
             emit({"event": "phase_end", "phase": phase})
-        post_ppl = _phase_ppl({phase: source_losses(model, corpora[phase]) for phase in phases})
+        post_ppl = _phase_ppl({phase: source_losses(model, corpus) for phase, corpus in corpora.items()})
         emit({"event": "done", "post_ppl": post_ppl})
         return RecoverySummary(pre_ppl=pre_ppl, post_ppl=post_ppl)

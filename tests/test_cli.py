@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorashear.cli import build_parser, main
-from lorashear.config import RULES, PipelineConfig, load_config, write_config
+from lorashear.config import RULES, load_config
 from lorashear.errors import ConfigError, StageError
 from lorashear import pipeline
 
@@ -437,18 +437,24 @@ class TestExitCodes:
         cfg2.write_text(json.dumps(other))
         assert main(["--config", str(cfg2), "--out", str(finished_run), "analyze"]) == 3
 
-    def test_numeric_failure_is_exit_4(self, monkeypatch, micro_cfg_file, tmp_path):
+    def test_numeric_failure_is_exit_4(self, monkeypatch, micro_cfg_file, tmp_path, capsys):
         from lorashear.errors import NumericError
 
         def boom(cfg, out):
             raise NumericError("synthetic")
 
-        monkeypatch.setitem(pipeline.__dict__, "stage_gen_data", boom)
-        monkeypatch.setattr(pipeline, "run_stage", lambda s, c, o: boom(c, o))
-        assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path / "o"), "gen-data"]) == 4
+        # the subcommand reaches the stage through run_stage and the stage table
+        monkeypatch.setitem(pipeline.STAGES, "gen-data", boom)
+        out = tmp_path / "o"
+        assert main(["--config", str(micro_cfg_file), "--out", str(out), "gen-data"]) == 4
+        assert "numeric failure: synthetic" in capsys.readouterr().err
+        assert not (out / "corpus.json").exists()
 
 
 class TestStages:
+    def test_artifact_table_lists_the_stages_in_run_order(self):
+        assert list(pipeline.ARTIFACTS) == list(pipeline.STAGES)
+
     def test_all_artifacts_written(self, finished_run):
         for names in pipeline.ARTIFACTS.values():
             for name in names:
@@ -559,9 +565,10 @@ class TestStages:
         assert main(["--config", str(micro_cfg_file), "--out", str(tmp_path), "eval"]) == 0
         assert (tmp_path / "eval.json").read_bytes() == (finished_run / "eval.json").read_bytes()
         payload = json.loads((finished_run / "corpus.json").read_text())
+        # corpora in the configuration's order, each corpus's sources by name
         splits = [
-            np.asarray(src["val"]) for _, corpus in sorted(payload["corpora"].items())
-            for _, src in sorted(corpus.items())
+            np.asarray(src["val"]) for name in pipeline.corpus_sources(load_config(micro_cfg_file))
+            for _, src in sorted(payload["corpora"][name].items())
         ]
         expected = splits * 4  # model_full, model_pruned, model_compact, model_recovered
         assert len(scored) == len(expected)

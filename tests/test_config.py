@@ -1,5 +1,4 @@
 import ast
-import json
 import math
 from collections import Counter
 from dataclasses import fields

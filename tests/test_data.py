@@ -120,6 +120,17 @@ class TestGeneration:
             assert np.array_equal(loaded["pretraining"].sources[name].train,
                                   corpus.sources[name].train)
 
+    def test_corpora_come_in_the_expected_order_whatever_the_payload_order(self):
+        rows = {"train": [[1, 2, 3]], "val": [[3, 2, 1]]}
+        corpora = {"pretraining": {"markov": rows}, "instruct": {"qa_copy": rows}}
+        kinds = {"pretraining": ("markov",), "instruct": ("qa_copy",)}
+        for payload_order in (["pretraining", "instruct"], ["instruct", "pretraining"]):
+            payload = {"schema_version": 1, "seq_len": 2,
+                       "corpora": {name: corpora[name] for name in payload_order}}
+            for expected_order in (["pretraining", "instruct"], ["instruct", "pretraining"]):
+                expected = {name: kinds[name] for name in expected_order}
+                assert list(corpora_from_json(payload, 64, expected)) == expected_order
+
     @pytest.mark.parametrize("row", [[1.5, 2.9, True], [1, 2, True], [1, 2.0, 3], [1, "2", 3]])
     def test_token_ids_that_are_not_json_integers_are_rejected(self, row):
         payload = {"schema_version": 1, "corpora": {"pretraining": {"markov": {"train": [row], "val": []}}}}

@@ -29,8 +29,6 @@ from lorashear.groups import (
 )
 from lorashear.model import ModelConfig, build_model
 
-from conftest import TOY
-
 
 def analysis(model):
     graph = build_trace_graph(model)

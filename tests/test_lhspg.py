@@ -10,7 +10,6 @@ from lorashear.baseline import one_shot_prune
 from lorashear.graph import build_trace_graph
 from lorashear.groups import (
     discover_node_groups,
-    effective_slice_vector,
     frozen_slice_vector,
     group_is_zero,
     partition_variables,

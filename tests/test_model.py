@@ -163,7 +163,8 @@ class TestLoraAlgebra:
                     # an emptied sublayer has neither its norm nor its modules
                     own += [] if norm is None else [norm]
                     for name, mod in blk.lora_linears().items():
-                        own += mod.tensors() if name.startswith(sublayer) else []
+                        if name.startswith(sublayer):
+                            own += [mod.weight] + ([mod.lora_a, mod.lora_b] if mod.has_lora else [])
             own += [other.final_norm, other.head]
             assert [id(t) for t in other.parameters().values()] == [id(t) for t in own]
             if other is not toy_model:

@@ -231,6 +231,18 @@ class TestRunRecovery:
         assert all(not np.any(t.data) for n, t in compact.parameters().items()
                    if n.endswith(".lora_B"))
 
+    def test_phases_run_in_the_order_of_the_corpora(self, trained_toy, tmp_path):
+        compact, corpora, full_scores = self._setup(trained_toy, tmp_path)
+        config = RecoverySection(
+            subset_size=24, source_floor=0.05, round_steps=1, learning_rate=0.15,
+            tol=math.inf, patience=1, max_rounds=1, batch_size=4,
+        )
+        log = tmp_path / "rec.jsonl"
+        reordered = {"instruct": corpora["instruct"], "pretraining": corpora["pretraining"]}
+        run_recovery(compact, reordered, full_scores, config, 3, log_path=log)
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [e["phase"] for e in events if e["event"] == "phase_end"] == ["instruct", "pretraining"]
+
     def test_recovery_improves_mean_validation_perplexity(self, trained_toy, tmp_path):
         compact, corpora, full_scores = self._setup(trained_toy, tmp_path)
         config = RecoverySection(
